@@ -20,6 +20,12 @@ post-selected, and the conditional pointer means are returned. As g -> 0,
 where sp is the pointer's momentum-space standard deviation. The pointer
 is discretized on a uniform grid with momentum translation applied in
 Fourier space, so the translation itself is spectrally exact.
+
+The coupling is evaluated on the Krylov space of the pre-state,
+span{pre, O pre, O^2 pre, ...}, built from sparse applies at any photon
+count n: one pointer branch per eigenvalue of O in pre's spectral support,
+so the cost does not depend on the dimension 4**n. An observable that is not
+Hermitian on that space is rejected with InputError (CLI exit 2).
 """
 
 from __future__ import annotations
@@ -34,6 +40,9 @@ from .errors import AnomalousSelectionError, InputError
 from .hilbert import Ket, Operator
 
 OVERLAP_THRESHOLD = 1e-10
+# pointer readout: Krylov residual and Hermiticity, relative to the projected scale
+_KRYLOV_TOL = 1e-12
+_HERMITIAN_TOL = 1e-10
 
 KINDS = ("path", "grin")
 ARMS = ("L", "R")
@@ -228,23 +237,66 @@ class PointerConfig:
         return x, psi / np.sqrt(total), dx
 
 
+def _krylov_projection(obs: Operator, start: Ket) -> tuple[list[Ket], np.ndarray]:
+    """Orthonormal basis of span{start, O start, O^2 start, ...} and O projected onto it.
+
+    `start` must have unit norm. Arnoldi iteration with every new vector
+    orthogonalized twice against the basis (Golub & Van Loan, Matrix
+    Computations, ch. 10), using sparse applies only. It stops when the
+    residual vanishes relative to the largest |O v_j| seen, or when the basis
+    spans the whole space. The returned H[i, j] = <v_i|O|v_j> is upper
+    Hessenberg; on a closed space it is all of O restricted there.
+    """
+    basis = [start]
+    columns: list[np.ndarray] = []
+    scale = 0.0
+    while True:
+        w = hilbert.apply(obs, basis[-1])
+        scale = max(scale, w.norm())
+        coeffs = np.zeros(len(basis) + 1, dtype=complex)
+        for _ in range(2):
+            proj = [hilbert.inner(v, w) for v in basis]
+            w = hilbert.superpose([(1.0, w)] + [(-c, v) for c, v in zip(proj, basis)])
+            coeffs[:-1] += proj
+        coeffs[-1] = beta = w.norm()
+        columns.append(coeffs)
+        if beta <= _KRYLOV_TOL * scale or len(basis) == start.convention.dim:
+            break
+        basis.append(hilbert.superpose([(1.0 / beta, w)]))
+    k = len(basis)
+    proj_op = np.zeros((k, k), dtype=complex)
+    for j, coeffs in enumerate(columns):
+        rows = min(j + 2, k)
+        proj_op[:rows, j] = coeffs[:rows]
+    return basis, proj_op
+
+
 def pointer_shift(obs: Operator, pair: PrePostPair, cfg: PointerConfig) -> tuple[float, float]:
     """Conditional pointer mean shifts (position, momentum) after the coupling.
 
     The initial pointer has zero mean position and momentum, so the returned
-    values are the shifts themselves.
+    values are the shifts themselves. The coupling only ever acts on the
+    Krylov space of the pre-state, span{pre, O pre, O^2 pre, ...}, which
+    closes after as many steps as pre has distinct eigenvalues of O in its
+    spectral support. One translated pointer branch is built per such
+    eigenvalue lambda, weighted by <post|P_lambda|pre>, so the cost does not
+    depend on the dimension 4**n. O must be Hermitian on that space (relative
+    to its largest projected entry); otherwise InputError is raised.
     """
     ovl = pair.overlap()  # raw; divergence handling is on the selection probability
-    dense = obs.to_dense()
-    vals, vecs = np.linalg.eigh(dense)
-
-    pre = pair.pre.to_dense()
-    post = pair.post.to_dense()
-    pre = pre / np.linalg.norm(pre)
-    post = post / np.linalg.norm(post)
-    a = vecs.conj().T @ pre
-    b = vecs.conj().T @ post
-    weights = b.conj() * a  # <post|k><k|pre>
+    pre = hilbert.normalize(pair.pre)
+    post = hilbert.normalize(pair.post)
+    basis, proj_op = _krylov_projection(obs, pre)
+    scale = float(np.max(np.abs(proj_op)))
+    if np.max(np.abs(proj_op - proj_op.conj().T)) > _HERMITIAN_TOL * scale:
+        raise InputError(
+            f"observable {obs.name or '(unnamed)'} is not Hermitian on the Krylov space "
+            "of the pre-state"
+        )
+    vals, vecs = np.linalg.eigh(proj_op)
+    a = vecs[0].conj()  # <lambda|pre>, since pre is the first basis vector
+    b = vecs.conj().T @ np.array([hilbert.inner(v, post) for v in basis])
+    weights = b.conj() * a  # <post|lambda><lambda|pre>
 
     x, psi, dx = cfg.initial_pointer()
     p = 2.0 * np.pi * np.fft.fftfreq(cfg.points, d=dx)

@@ -6,9 +6,17 @@ operators are built as explicit Kronecker chains over the 2n qubit factors
 column arithmetic is a real cross-check, not a tautology.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 
 from cheshire import BasisConvention, Ket, make_ket
+
+# child interpreters (the CLI tests that spawn `python -m cheshire.cli`) import
+# the package from this checkout too, with or without an installed copy
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 I2 = np.eye(2, dtype=complex)
 PI_L = np.array([[1, 0], [0, 0]], dtype=complex)

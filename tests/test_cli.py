@@ -312,6 +312,14 @@ def test_pointer_bad_descriptor_exits_two():
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("scenario_id,descriptor", [("n-cat:n=6", "grin:1:R"), ("n-cat:n=10", "sigma:3")])
+def test_pointer_beyond_dense_dimensions(scenario_id, descriptor):
+    """dim 4**6 and 4**10: the readout works on the pre-state's Krylov space."""
+    result = run_cli("pointer", scenario_id, descriptor)
+    assert result.exit_code == 0
+    assert "# convergence PASS" in result.output
+
+
 # ---------------------------------------------------------------------------
 # determinism across processes
 

@@ -7,8 +7,15 @@ import numpy as np
 import pytest
 
 import cheshire as ch
-from cheshire.errors import AnomalousSelectionError, InputError
-from conftest import dense_observable, dense_weak_value, random_ket
+from cheshire.errors import AnomalousSelectionError, InputError, ZeroNormError
+from conftest import (
+    dense_observable,
+    dense_path_projector,
+    dense_sigma,
+    dense_weak_value,
+    ket_vec,
+    random_ket,
+)
 
 C1 = ch.BasisConvention(1)
 C2 = ch.BasisConvention(2)
@@ -265,3 +272,120 @@ def test_pointer_rejects_vanishing_postselection():
     obs = ch.path_projector(C1, 1, "R")  # annihilates the pre state
     with pytest.raises(AnomalousSelectionError):
         ch.pointer_shift(obs, pair, ch.PointerConfig(g=1e-3))
+
+
+def test_pointer_rejects_non_hermitian_observable():
+    """|0100><1000| has weak value 1 on two_cat, but no pointer coupling reads it."""
+    pair = ch.two_cat()
+    obs = ch.Operator(C2, lambda k: {4: 1.0 + 0j} if k == 8 else {}, "|0100><1000|")
+    assert ch.weak_value(obs, pair) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(InputError, match="not Hermitian"):
+        ch.pointer_shift(obs, pair, ch.PointerConfig(g=1e-2))
+
+
+def test_pointer_rejects_zero_post_state():
+    pair = ch.PrePostPair(ch.two_cat().pre, ch.make_ket(C2, {}), 2)
+    with pytest.raises(ZeroNormError):
+        ch.pointer_shift(ch.path_projector(C2, 1, "L"), pair, ch.PointerConfig(g=1e-2))
+
+
+def test_pointer_rejects_mixed_conventions():
+    obs = ch.path_projector(C1, 1, "L")
+    with pytest.raises(InputError):
+        ch.pointer_shift(obs, ch.two_cat(), ch.PointerConfig(g=1e-2))
+
+
+def test_pointer_at_twenty_photons():
+    """No dimension cap: dim 4**20, and shift/g still reads the weak value."""
+    pair = ch.n_cat(20)
+    obs = ch.grin_observable(pair.convention, 2, "L")
+    g = 2.5e-3
+    mean_x, mean_p = ch.pointer_shift(obs, pair, ch.PointerConfig(g=g))
+    assert mean_x / g == pytest.approx(ch.weak_value(obs, pair).real, abs=1e-5)
+    assert mean_p == pytest.approx(0.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the dense readout as a reference: eigh over all 4**n basis states and one
+# pointer branch per basis state
+
+
+def dense_pointer_shift(matrix, pair, cfg):
+    vals, vecs = np.linalg.eigh(matrix)
+    pre = ket_vec(pair.pre)
+    post = ket_vec(pair.post)
+    pre = pre / np.linalg.norm(pre)
+    post = post / np.linalg.norm(post)
+    weights = (vecs.conj().T @ post).conj() * (vecs.conj().T @ pre)
+    x, psi, dx = cfg.initial_pointer()
+    p = 2.0 * np.pi * np.fft.fftfreq(cfg.points, d=dx)
+    phases = np.exp(-1j * cfg.g * np.outer(vals, p))
+    branches = np.fft.ifft(np.fft.fft(psi)[None, :] * phases, axis=1)
+    phi = (weights[:, None] * branches).sum(axis=0)
+    prob = float(np.sum(np.abs(phi) ** 2) * dx)
+    mean_x = float(np.sum(x * np.abs(phi) ** 2) * dx / prob)
+    mom_density = np.abs(np.fft.fft(phi)) ** 2
+    mean_p = float(np.sum(p * mom_density) / np.sum(mom_density))
+    return mean_x, mean_p
+
+
+def reference_observables(n):
+    """(sparse, dense) observable pairs: every path, grin and sigma, id, a sum and a product."""
+    conv = ch.BasisConvention(n)
+    out = [(ch.identity_op(conv), np.eye(conv.dim, dtype=complex))]
+    for photon in range(1, n + 1):
+        out.append((ch.circular_sigma_z(conv, photon), dense_sigma(n, photon)))
+        for kind in ("path", "grin"):
+            for arm in "LR":
+                sparse = ch.observable_for(conv, kind, photon, arm)
+                out.append((sparse, dense_observable(n, kind, photon, arm)))
+    # spectrum {0, 1, 2}; 2 * Pi_L when n = 1
+    out.append((
+        ch.op_add(ch.path_projector(conv, 1, "L"), ch.path_projector(conv, n, "L")),
+        dense_path_projector(n, 1, "L") + dense_path_projector(n, n, "L"),
+    ))
+    out.append((
+        ch.op_compose(ch.path_projector(conv, 1, "R"), ch.circular_sigma_z(conv, n)),
+        dense_path_projector(n, 1, "R") @ dense_sigma(n, n),
+    ))
+    return out
+
+
+def random_sparse_pair(seed, n):
+    rng = np.random.default_rng(seed)
+    conv = ch.BasisConvention(n)
+
+    def sparse_ket():
+        support = rng.choice(conv.dim, size=min(conv.dim, 6), replace=False)
+        amps = rng.standard_normal(len(support)) + 1j * rng.standard_normal(len(support))
+        return ch.make_ket(conv, {int(k): complex(a) for k, a in zip(support, amps)})
+
+    while True:
+        pair = ch.pair_from_states(sparse_ket(), sparse_ket())
+        if abs(pair.overlap()) > 1e-3:
+            return pair
+
+
+REFERENCE_PAIRS = {
+    "n_cat(2)": lambda: ch.n_cat(2),
+    "n_cat(3)": lambda: ch.n_cat(3),
+    "n_cat(4)": lambda: ch.n_cat(4),
+    "general_two_cat(pi/8,0)": lambda: ch.general_two_cat(math.pi / 8, 0.0),
+    "general_two_cat(1.1,2.3)": lambda: ch.general_two_cat(1.1, 2.3),
+    "random(n=1)": lambda: random_sparse_pair(31, 1),
+    "random(n=2)": lambda: random_sparse_pair(32, 2),
+    "random(n=3)": lambda: random_sparse_pair(33, 3),
+    "random(n=4)": lambda: random_sparse_pair(34, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_PAIRS))
+def test_pointer_matches_dense_reference(name):
+    """The Krylov readout agrees with the dense eigh readout to 1e-12."""
+    pair = REFERENCE_PAIRS[name]()
+    for obs, matrix in reference_observables(pair.n_photons):
+        for g in (1e-2, 2.5e-3):
+            cfg = ch.PointerConfig(g=g)
+            got = ch.pointer_shift(obs, pair, cfg)
+            want = dense_pointer_shift(matrix, pair, cfg)
+            assert got == pytest.approx(want, abs=1e-12), (obs.name, g)
