@@ -30,13 +30,10 @@ from .errors import (
     AnomalousSelectionError,
     CalibrationError,
     CheshireError,
-    CircuitConfigError,
     DegenerateScenarioError,
-    FileParseError,
     InfeasibleTargetsError,
     InputError,
     VacuousSelectionError,
-    ZeroNormError,
 )
 from .expr import parse_real
 
@@ -82,30 +79,30 @@ def _render_rows(
     return "\n".join(lines) + "\n"
 
 
+_DEGENERATE_ERRORS = (
+    AnomalousSelectionError,
+    CalibrationError,
+    DegenerateScenarioError,
+    InfeasibleTargetsError,
+    VacuousSelectionError,
+)
+# first match wins: a CheshireError not listed above is a usage error
+_EXIT_CODES = (
+    (_DEGENERATE_ERRORS, EXIT_DEGENERATE),
+    (CheshireError, EXIT_USAGE),
+    (OSError, EXIT_IO),
+)
+
+
 def _execute(action: Callable[[], int]) -> None:
     try:
         code = action()
-    except FileParseError as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(EXIT_USAGE) from None
-    except (InputError, ZeroNormError, CircuitConfigError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(EXIT_USAGE) from None
-    except AnomalousSelectionError as exc:
-        click.echo(f"error: {exc} (raw overlap {exc.overlap!r})", err=True)
-        raise SystemExit(EXIT_DEGENERATE) from None
-    except CalibrationError as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(EXIT_DEGENERATE) from None
-    except (DegenerateScenarioError, InfeasibleTargetsError, VacuousSelectionError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(EXIT_DEGENERATE) from None
-    except CheshireError as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(EXIT_USAGE) from None
-    except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(EXIT_IO) from None
+    except (CheshireError, OSError) as exc:
+        message = f"error: {exc}"
+        if isinstance(exc, AnomalousSelectionError):
+            message += f" (raw overlap {exc.overlap!r})"
+        click.echo(message, err=True)
+        raise SystemExit(next(c for kinds, c in _EXIT_CODES if isinstance(exc, kinds))) from None
     raise SystemExit(code)
 
 
@@ -244,7 +241,6 @@ def solve(ctx: click.Context, problem_file: str) -> None:
 @click.argument("circuit_file")
 @click.option("--shots", type=int, default=None, help="Monte Carlo shot count (counts mode)")
 @click.option("--seed", "seed_override", type=int, default=None, help="override the global seed")
-@click.option("--workers", type=int, default=1, show_default=True, help="sampling threads")
 @click.option(
     "--emit",
     type=click.Choice(["counts", "probs", "conditional-state"]),
@@ -263,7 +259,6 @@ def circuit(
     circuit_file: str,
     shots: int | None,
     seed_override: int | None,
-    workers: int,
     emit: str,
     pattern: str | None,
 ) -> None:
@@ -278,7 +273,7 @@ def circuit(
             if shots is None:
                 raise click.UsageError("--emit counts needs --shots")
             seed = seed_override if seed_override is not None else ctx.obj["seed"]
-            record = optics.run_monte_carlo(circ, shots, seed, workers=workers)
+            record = optics.run_monte_carlo(circ, shots, seed)
             rows = sorted(record.counts.items())
             out = _render_rows(
                 ("pattern", "count"), rows, fmt, meta={"shots": shots, "seed": seed}

@@ -7,6 +7,13 @@ condition is re-imposed afterwards as a feasibility filter: a candidate
 solution must have nonzero overlap with the pre-state, otherwise the weak
 values it defines do not exist.
 
+The solve works on the active support only: the basis states in the support
+of the pre-state or of some (O_t - w_t)|pre>. Any other basis state appears
+in no constraint and is orthogonal to the pre-state, so a post amplitude
+there can never make a solution feasible; it stays zero. The system
+therefore has one column per active basis state, never 4^n of them, and
+solves at any photon count.
+
 The solve is exact linear algebra: a rank-revealing pass (SVD cutoff 1e-10
 relative to the largest singular value) fixes the numerical rank, a
 deterministic reduced-row-echelon elimination with lexicographic pivot order
@@ -59,32 +66,39 @@ class WeakValueTarget:
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Rows act on the conjugated post-amplitude vector: matrix @ conj(m) = 0."""
+    """Rows act on the conjugated post amplitudes at `columns`: matrix @ conj(m) = 0.
+
+    `columns` are the active basis indices in ascending order, the support of
+    the pre-state and of every (O_t - w_t)|pre>; matrix column j belongs to
+    basis state columns[j]. The system has this shape at any photon count.
+    """
 
     matrix: np.ndarray
+    columns: tuple[int, ...]
     pre: Ket
     targets: tuple[WeakValueTarget, ...]
 
 
 def assemble(pre: Ket, targets: Sequence[WeakValueTarget]) -> ConstraintSystem:
-    """Row t is the dense expansion of (O_t - w_t I)|pre>."""
+    """Row t is (O_t - w_t I)|pre> on the active columns."""
     if not targets:
         raise InputError("assemble needs at least one target")
     if pre.norm() == 0.0:
         raise InputError("pre-state is the zero vector")
-    dim = pre.convention.dim
-    if dim > 4096:
-        raise InputError(f"constraint assembly limited to dim <= 4096, got {dim}")
-    matrix = np.zeros((len(targets), dim), dtype=complex)
-    for t, tgt in enumerate(targets):
+    rows = []
+    for tgt in targets:
         if tgt.observable.convention != pre.convention:
             raise InputError("target observable and pre-state use mixed conventions")
-        shifted = hilbert.superpose(
+        rows.append(hilbert.superpose(
             [(1.0, hilbert.apply(tgt.observable, pre)), (-tgt.target, pre)]
-        )
-        for k, a in shifted.amplitudes.items():
-            matrix[t, k] = a
-    return ConstraintSystem(matrix, pre, tuple(targets))
+        ))
+    columns = tuple(sorted(set(pre.amplitudes).union(*(row.amplitudes for row in rows))))
+    position = {k: j for j, k in enumerate(columns)}
+    matrix = np.zeros((len(rows), len(columns)), dtype=complex)
+    for t, row in enumerate(rows):
+        for k, a in row.amplitudes.items():
+            matrix[t, position[k]] = a
+    return ConstraintSystem(matrix, columns, pre, tuple(targets))
 
 
 def _rref_nullspace_basis(matrix: np.ndarray) -> list[np.ndarray]:
@@ -136,9 +150,12 @@ def _support_size(vec: np.ndarray) -> int:
 def solve_post(system: ConstraintSystem) -> Ket:
     """Pick the minimal-support feasible nullspace vector and fix phase/scale."""
     basis = _rref_nullspace_basis(system.matrix)
-    if not basis:
+    # every inactive basis state is a nonzero solution orthogonal to the
+    # pre-state, so an empty active nullspace is infeasible only when no
+    # basis state is inactive; otherwise it is vacuous
+    if not basis and len(system.columns) == system.pre.convention.dim:
         raise InfeasibleTargetsError("the constraint system has no nonzero solution")
-    pre_vec = system.pre.to_dense()
+    pre_vec = np.array([system.pre.amplitudes.get(k, 0j) for k in system.columns])
     pre_norm = float(np.linalg.norm(pre_vec))
     best = None
     for idx, y in enumerate(basis):
@@ -156,12 +173,12 @@ def solve_post(system: ConstraintSystem) -> Ket:
     m = best[1].conj()
     peak = float(np.max(np.abs(m)))
     m[np.abs(m) <= _SUPPORT_REL * peak] = 0.0
-    for k in sorted(system.pre.amplitudes):
-        if abs(m[k]) > 0:
-            m = m * (-1j * abs(m[k]) / m[k])
+    for j, k in enumerate(system.columns):
+        if k in system.pre.amplitudes and abs(m[j]) > 0:
+            m = m * (-1j * abs(m[j]) / m[j])
             break
     m = m / float(np.max(np.abs(m)))
-    return hilbert.ket_from_dense(system.pre.convention, m)
+    return hilbert.make_ket(system.pre.convention, dict(zip(system.columns, m)))
 
 
 def verify(pre: Ket, post: Ket, targets: Sequence[WeakValueTarget]) -> float:

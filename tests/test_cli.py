@@ -14,8 +14,9 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+import cheshire as ch
 from cheshire import optics
-from cheshire.cli import main, parse_scenario_id
+from cheshire.cli import _execute, main, parse_scenario_id
 
 runner = CliRunner()
 
@@ -146,6 +147,26 @@ def test_solve_two_cat_problem(tmp_path):
     assert rows["0100"] == (pytest.approx(0.0, abs=1e-12), pytest.approx(-1.0))
     assert rows["1001"] == (pytest.approx(1.0), pytest.approx(0.0, abs=1e-12))
     assert rows["1010"] == (pytest.approx(1.0), pytest.approx(0.0, abs=1e-12))
+
+
+def delta_problem_text(n):
+    """Problem file for the n-photon delta pattern on the n-cat pre-state."""
+    lines = [f"photons {n}"]
+    lines += [
+        f"pre {k:0{2 * n}b} {a.real!r} {a.imag!r}"
+        for k, a in sorted(ch.n_cat(n).pre.amplitudes.items())
+    ]
+    pattern = ch.expected_pattern(ch.ScenarioId("n_cat", n=n))
+    lines += [f"target {kind}:{photon}:{arm} {value} 0" for (kind, photon, arm), value in pattern.items()]
+    return "\n".join(lines) + "\n"
+
+
+def test_solve_beyond_dense_dimensions(tmp_path):
+    path = tmp_path / "deltas7.problem"
+    path.write_text(delta_problem_text(7))
+    result = run_cli("--format", "json", "solve", str(path))
+    assert result.exit_code == 0, result.stderr
+    assert json.loads(result.output)["residual"] < 1e-10
 
 
 def test_solve_table_reports_residual(tmp_path):
@@ -341,9 +362,37 @@ def test_repeated_runs_are_byte_identical():
     assert first.stdout  # non-empty
 
 
-def test_worker_count_does_not_change_output():
-    base = ("circuit", builtin(), "--emit", "counts", "--shots", "8192")
-    serial = spawn(*base, "--workers", "1")
-    threaded = spawn(*base, "--workers", "4")
-    assert serial.returncode == threaded.returncode == 0
-    assert serial.stdout == threaded.stdout
+# ---------------------------------------------------------------------------
+# exit-code mapping
+
+
+EXIT_CASES = [
+    (
+        ch.AnomalousSelectionError("overlap vanishes", overlap=1e-13j),
+        3,
+        "error: overlap vanishes (raw overlap 1e-13j)\n",
+    ),
+    (ch.CalibrationError("residual too large", residual=0.5), 3, "error: residual too large\n"),
+    (ch.DegenerateScenarioError("boundary"), 3, "error: boundary\n"),
+    (ch.InfeasibleTargetsError("no solution"), 3, "error: no solution\n"),
+    (ch.VacuousSelectionError("orthogonal"), 3, "error: orthogonal\n"),
+    (ch.FileParseError("bad row", 4), 2, "error: line 4: bad row\n"),
+    (ch.InputError("bad input"), 2, "error: bad input\n"),
+    (ch.ZeroNormError("zero vector"), 2, "error: zero vector\n"),
+    (ch.CircuitConfigError("collision"), 2, "error: collision\n"),
+    (ch.CheshireError("other"), 2, "error: other\n"),
+    (OSError("unreadable"), 4, "error: unreadable\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "error,code,stderr", EXIT_CASES, ids=[type(case[0]).__name__ for case in EXIT_CASES]
+)
+def test_execute_maps_errors_to_exit_codes(error, code, stderr, capsys):
+    def action():
+        raise error
+
+    with pytest.raises(SystemExit) as stop:
+        _execute(action)
+    assert stop.value.code == code
+    assert capsys.readouterr().err == stderr

@@ -16,12 +16,13 @@ import pytest
 import cheshire as ch
 from cheshire import solver
 from cheshire.errors import (
+    CheshireError,
     FileParseError,
     InfeasibleTargetsError,
     InputError,
     VacuousSelectionError,
 )
-from conftest import random_ket
+from conftest import ket_vec, random_ket
 
 C1 = ch.BasisConvention(1)
 C2 = ch.BasisConvention(2)
@@ -41,9 +42,9 @@ def test_constraint_matrix_shape_and_columns():
     """Eight rows; unknowns confined to six basis columns for the grid pre state."""
     pair, targets = delta_problem(math.pi / 4, 0.0)
     system = ch.assemble(pair.pre, targets)
-    assert system.matrix.shape == (8, 16)
-    touched = {k for k in range(16) if np.any(np.abs(system.matrix[:, k]) > 1e-14)}
-    assert touched == {4, 5, 6, 8, 9, 10}
+    assert system.columns == (4, 5, 6, 8, 9, 10)
+    assert system.matrix.shape == (8, 6)
+    assert np.all(np.any(np.abs(system.matrix) > 1e-14, axis=0))
 
 
 def test_identity_target_gives_zero_row():
@@ -87,6 +88,16 @@ def test_solution_support_is_minimal():
     pair, targets = delta_problem(math.pi / 4, 0.0)
     post = ch.solve_post(ch.assemble(pair.pre, targets))
     assert len(post.support()) == 3
+
+
+@pytest.mark.parametrize("n", [7, 12])
+def test_delta_targets_beyond_dense_dimensions(n):
+    """The n-photon deltas rebuild n_cat(n).post where 4**n columns could not be eliminated."""
+    pair = ch.n_cat(n)
+    targets = solver.delta_targets(pair.convention)
+    post = ch.solve_post(ch.assemble(pair.pre, targets))
+    assert ch.verify(pair.pre, post, targets) < 1e-10
+    assert ch.fidelity_up_to_phase(post, pair.post) >= 1 - 1e-12
 
 
 def test_perturbed_target_breaks_verification():
@@ -192,9 +203,8 @@ def test_nullspace_membership():
             post = ch.solve_post(system)
         except (VacuousSelectionError, InfeasibleTargetsError):
             continue
-        vec = np.zeros(4, dtype=complex)
-        for k, amp in post.amplitudes.items():
-            vec[k] = amp
+        assert set(post.amplitudes) <= set(system.columns)
+        vec = np.array([post.amplitude(k) for k in system.columns])
         np.testing.assert_allclose(system.matrix @ vec.conj(), 0.0, atol=1e-10)
 
 
@@ -272,3 +282,171 @@ def test_parse_problem_requires_sections():
 def test_parse_problem_file_missing(tmp_path):
     with pytest.raises(OSError):
         solver.parse_problem_file(tmp_path / "missing.problem")
+
+
+# ---------------------------------------------------------------------------
+# the dense solve as a reference: one constraint column per basis state, all
+# 4**n of them, one nullspace vector per free column, and the answer read
+# back through a dense vector
+
+
+def dense_nullspace_basis(matrix):
+    rows, cols = matrix.shape
+    work = matrix.astype(complex).copy()
+    sigma_max = float(np.linalg.svd(work, compute_uv=False)[0]) if work.size and np.any(work) else 0.0
+    cutoff = 1e-10 * sigma_max
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        sub = np.abs(work[r:, c])
+        best = int(np.argmax(sub))
+        if sub[best] <= cutoff:
+            continue
+        if best != 0:
+            work[[r, r + best]] = work[[r + best, r]]
+        work[r] = work[r] / work[r, c]
+        for rr in range(rows):
+            if rr != r and work[rr, c] != 0:
+                work[rr] = work[rr] - work[rr, c] * work[r]
+        pivots.append((r, c))
+        r += 1
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for f in range(cols):
+        if f in pivot_cols:
+            continue
+        vec = np.zeros(cols, dtype=complex)
+        vec[f] = 1.0
+        for pr, pc in pivots:
+            vec[pc] = -work[pr, f]
+        basis.append(vec)
+    return basis
+
+
+def dense_solve_post(pre, targets):
+    matrix = np.zeros((len(targets), pre.convention.dim), dtype=complex)
+    for t, tgt in enumerate(targets):
+        shifted = ch.superpose([(1.0, ch.apply(tgt.observable, pre)), (-tgt.target, pre)])
+        for k, a in shifted.amplitudes.items():
+            matrix[t, k] = a
+    basis = dense_nullspace_basis(matrix)
+    if not basis:
+        raise InfeasibleTargetsError("the constraint system has no nonzero solution")
+    pre_vec = ket_vec(pre)
+    pre_norm = float(np.linalg.norm(pre_vec))
+    best = None
+    for idx, y in enumerate(basis):
+        overlap = complex(np.dot(y, pre_vec))
+        if abs(overlap) <= 1e-10 * float(np.linalg.norm(y)) * pre_norm:
+            continue
+        peak = float(np.max(np.abs(y)))
+        key = (int(np.sum(np.abs(y) > 1e-12 * peak)), idx)
+        if best is None or key < best[0]:
+            best = (key, y)
+    if best is None:
+        raise VacuousSelectionError(
+            "every solution of the constraint system is orthogonal to the pre-state"
+        )
+    m = best[1].conj()
+    peak = float(np.max(np.abs(m)))
+    m[np.abs(m) <= 1e-12 * peak] = 0.0
+    for k in sorted(pre.amplitudes):
+        if abs(m[k]) > 0:
+            m = m * (-1j * abs(m[k]) / m[k])
+            break
+    m = m / float(np.max(np.abs(m)))
+    return ch.ket_from_dense(pre.convention, m)
+
+
+def solved_or_error(solve):
+    try:
+        return solve().amplitudes
+    except CheshireError as exc:
+        return type(exc), str(exc)
+
+
+def delta_case(n):
+    pre = ch.n_cat(n).pre if n >= 2 else ch.single().pre
+    return pre, solver.delta_targets(ch.BasisConvention(n))
+
+
+def random_problem(seed, n):
+    """Sparse pre-state; path, grin and sigma targets, measured from a pair or set to 0/1."""
+    rng = np.random.default_rng(seed)
+    conv = ch.BasisConvention(n)
+
+    def sparse_ket():
+        size = int(rng.integers(1, min(conv.dim, 6) + 1))
+        support = rng.choice(conv.dim, size=size, replace=False)
+        amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        return ch.make_ket(conv, {int(k): complex(a) for k, a in zip(support, amps)})
+
+    pre = sparse_ket()
+    observables = []
+    for _ in range(int(rng.integers(1, 2 * n + 1))):
+        photon = int(rng.integers(1, n + 1))
+        kind = ("path", "grin", "sigma")[int(rng.integers(3))]
+        if kind == "sigma":
+            observables.append(ch.circular_sigma_z(conv, photon))
+        else:
+            observables.append(ch.observable_for(conv, kind, photon, "LR"[int(rng.integers(2))]))
+    pair = ch.pair_from_states(pre, sparse_ket())
+    if rng.random() < 0.5 and abs(pair.overlap()) > 1e-3:
+        values = [ch.weak_value(obs, pair) for obs in observables]
+    else:
+        values = [complex(int(rng.integers(2))) for _ in observables]
+    return pre, [ch.WeakValueTarget(obs, w) for obs, w in zip(observables, values)]
+
+
+REFERENCE_CASES = {f"delta(n={n})": (lambda n=n: delta_case(n)) for n in range(1, 7)}
+REFERENCE_CASES |= {
+    f"general({theta:.3f},{phi:.3f})": (
+        lambda t=theta, p=phi: (ch.general_two_cat(t, p).pre, solver.delta_targets(C2))
+    )
+    for theta in (math.pi / 8, math.pi / 4, 3 * math.pi / 8)
+    for phi in (0.0, 1.0, math.pi)
+}
+REFERENCE_CASES |= {
+    "identity-only(n=1)": lambda: (
+        ch.make_ket(C1, {1: 1.0}), [ch.WeakValueTarget(ch.identity_op(C1), 1.0)]
+    ),
+    "identity-only(n=2)": lambda: (
+        ch.two_cat().pre, [ch.WeakValueTarget(ch.identity_op(C2), 1.0)]
+    ),
+    # rank 4 on all four columns: no solution at all
+    "full-rank": lambda: (random_ket(np.random.default_rng(31), 1), [
+        ch.WeakValueTarget(ch.observable_for(C1, kind, 1, arm), w)
+        for (kind, arm), w in zip(
+            [("path", "L"), ("path", "R"), ("grin", "L"), ("grin", "R")], [0.3, 0.4 + 0.2j, -0.5, 1.5]
+        )
+    ]),
+    "contradictory": lambda: (ch.two_cat().pre, [
+        ch.WeakValueTarget(ch.path_projector(C2, 1, "L"), 1.0),
+        ch.WeakValueTarget(ch.path_projector(C2, 1, "L"), 0.0),
+    ]),
+    # full rank on its one active column but not on all sixteen: vacuous, not infeasible
+    "rank-equals-columns": lambda: (
+        ch.basis_ket(C2, "0000"), [ch.WeakValueTarget(ch.path_projector(C2, 1, "L"), 0.0)]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_CASES))
+def test_solve_matches_dense_reference(name):
+    """Posts equal the dense solve's amplitude for amplitude; errors match in type and text."""
+    pre, targets = REFERENCE_CASES[name]()
+    got = solved_or_error(lambda: ch.solve_post(ch.assemble(pre, targets)))
+    assert got == solved_or_error(lambda: dense_solve_post(pre, targets))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_solve_matches_dense_reference_on_random_problems(n):
+    outcomes = set()
+    for seed in range(40):
+        pre, targets = random_problem(1000 * n + seed, n)
+        got = solved_or_error(lambda: ch.solve_post(ch.assemble(pre, targets)))
+        assert got == solved_or_error(lambda: dense_solve_post(pre, targets)), seed
+        outcomes.add(got[0] if isinstance(got, tuple) else "post")
+    assert "post" in outcomes
