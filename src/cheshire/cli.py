@@ -21,11 +21,12 @@ byte-identical stdout.
 from __future__ import annotations
 
 import json
+import math
 from typing import Callable, Sequence
 
 import click
 
-from . import hilbert, optics, scenarios, solver, weakval
+from . import optics, scenarios, solver, weakval
 from .errors import (
     AnomalousSelectionError,
     CalibrationError,
@@ -176,8 +177,8 @@ def parse_scenario_id(text: str) -> scenarios.ScenarioId:
 @click.pass_context
 def main(ctx: click.Context, fmt: str, seed: int, tol: float) -> None:
     """Weak values and post-selected photon-pair simulations."""
-    if tol <= 0:
-        raise click.UsageError("--tol must be positive")
+    if not 0 < tol < math.inf:
+        raise click.UsageError("--tol must be finite and positive")
     ctx.obj = {"format": fmt, "seed": seed, "tol": tol}
 
 

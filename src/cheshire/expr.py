@@ -118,7 +118,10 @@ class _Parser:
             self.expect("(")
             arg = self.expr()
             self.expect(")")
-            return _FUNCTIONS[lowered](arg)
+            try:
+                return _FUNCTIONS[lowered](arg)
+            except OverflowError:
+                raise InputError(f"{lowered}({arg}) overflows in expression {self.source!r}") from None
         raise InputError(f"unknown name {tok!r} in expression {self.source!r}")
 
 

@@ -19,14 +19,20 @@ photon number is allowed). Both name the same basis state.
 
 Kets are sparse maps from basis index to a complex amplitude; amplitudes
 with magnitude below PRUNE_THRESHOLD are dropped after every operation.
-Operators are sparse in column-access form: a function from a basis index
-to the nonzero entries of that column. The named constructors build the
-path projectors, the circular polarization observable
+Operators are sums of Pauli strings on the 2n index bits, in the symplectic
+(x-mask, z-mask) form of Aaronson & Gottesman (PRA 70, 052328, 2004): the
+term (x, z, c) is c X^x Z^z, which sends |k> to c (-1)^popcount(k & z)
+|k ^ x>. With p the path bit and m the polarization bit of one photon, the
+named constructors build the path projectors (I +- Z_p)/2 (+ for L), the
+circular polarization observable
 
     sigma_z = |up><up| - |down><down|,   up/down = (|H> +- i|V>)/sqrt(2)
 
-(which acts as sigma_z|H> = i|V>, sigma_z|V> = -i|H> in the H/V basis),
-and their per-arm products.
+which is Pauli Y_m = i X_m Z_m (sigma_z|H> = i|V>, sigma_z|V> = -i|H> in
+the H/V basis), and their per-arm products Y_m (I +- Z_p)/2. Sums, scalings
+and products stay in this form, so applying an operator or checking that it
+is Hermitian never depends on the dimension 4**n. Only `operator_from_dense`
+keeps a dense matrix.
 
 Global phase is never silently normalized away; comparing two kets up to a
 global phase is the separate operation `fidelity_up_to_phase`.
@@ -39,7 +45,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -52,7 +58,7 @@ _PATH_CHARS = {"0": 0, "1": 1, "L": 0, "R": 1}
 _POL_CHARS = {"0": 0, "1": 1, "H": 0, "V": 1}
 _TOKEN_FORM = re.compile(r"^([LRHV])_?([0-9]+)$")
 
-# to_dense / items guard: keeps accidental materialization of huge spaces out
+# to_dense guard: keeps accidental materialization of huge spaces out
 _DENSE_DIM_LIMIT = 1024
 
 
@@ -245,45 +251,61 @@ def equal_up_to_phase(a: Ket, b: Ket, tol: float = 1e-12) -> bool:
     return fidelity_up_to_phase(a, b) >= 1.0 - tol
 
 
-ColumnAction = Callable[[int], dict[int, complex]]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Operator:
-    """Linear map in sparse column-access form.
+    """Linear map as a sum of Pauli strings on the 2n index bits, or a dense matrix.
 
-    `column(k)` returns the nonzero entries of column k as {row: value},
-    i.e. the expansion of O|k>. Structural constructors never materialize
-    the full matrix, which keeps large-n photon counts cheap; `to_dense`
-    and `items` are guarded for small dimensions only.
+    `terms` holds (x, z, c) triples, each the string c X^x Z^z: Z^z
+    multiplies |k> by (-1)^popcount(k & z), then X^x flips the bits of x,
+    so the string sends |k> to c (-1)^popcount(k & z) |k ^ x>. The (x, z)
+    pairs are distinct and no c is zero. Every named observable is one or
+    two such strings, so nothing here depends on the dimension 4**n.
+
+    Only `operator_from_dense` sets `matrix` instead (the Pauli expansion of
+    a generic matrix has 16^n terms); `to_dense` is guarded for small
+    dimensions only.
     """
 
     convention: BasisConvention
-    col_action: ColumnAction
+    terms: tuple[tuple[int, int, complex], ...] = ()
     name: str = ""
+    matrix: np.ndarray | None = None
 
     def column(self, k: int) -> dict[int, complex]:
+        """Nonzero entries of column k as {row: value}, i.e. the expansion of O|k>."""
         if not 0 <= k < self.convention.dim:
             raise InputError(f"column index {k} out of range for dim {self.convention.dim}")
-        return self.col_action(k)
+        if self.matrix is not None:
+            column = self.matrix[:, k]
+            return {int(j): complex(column[j]) for j in np.nonzero(column)[0]}
+        out: dict[int, complex] = {}
+        for x, z, c in self.terms:
+            out[k ^ x] = out.get(k ^ x, 0j) + (-c if (k & z).bit_count() & 1 else c)
+        return {j: v for j, v in out.items() if v != 0}
 
-    def items(self) -> Iterator[tuple[int, int, complex]]:
-        dim = self.convention.dim
-        if dim > _DENSE_DIM_LIMIT:
-            raise InputError(f"refusing to enumerate a dim-{dim} operator; limit {_DENSE_DIM_LIMIT}")
-        for k in range(dim):
-            col = self.col_action(k)
-            for j in sorted(col):
-                if abs(col[j]) >= PRUNE_THRESHOLD:
-                    yield j, k, col[j]
+    def hermitian_defect(self) -> float:
+        """Exact size of O - O^dagger: max over Pauli coefficients, or over dense entries.
+
+        (c X^x Z^z)^dagger = conj(c) (-1)^popcount(x & z) X^x Z^z and distinct
+        strings are linearly independent, so a term-form operator is
+        Hermitian exactly when c = (-1)^popcount(x & z) conj(c) for every term.
+        """
+        if self.matrix is not None:
+            return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
+        return max(
+            (abs(c - (-1) ** (x & z).bit_count() * c.conjugate()) for x, z, c in self.terms),
+            default=0.0,
+        )
 
     def to_dense(self) -> np.ndarray:
         dim = self.convention.dim
         if dim > _DENSE_DIM_LIMIT:
             raise InputError(f"refusing to densify a dim-{dim} operator; limit {_DENSE_DIM_LIMIT}")
         mat = np.zeros((dim, dim), dtype=complex)
-        for j, k, v in self.items():
-            mat[j, k] = v
+        for k in range(dim):
+            for j, v in self.column(k).items():
+                if abs(v) >= PRUNE_THRESHOLD:
+                    mat[j, k] = v
         return mat
 
 
@@ -292,104 +314,120 @@ def apply(op: Operator, state: Ket) -> Ket:
     if op.convention != state.convention:
         raise InputError("operator and state use mixed conventions")
     out: dict[int, complex] = {}
+    if op.matrix is not None:
+        for k, a in state.amplitudes.items():
+            for j, v in op.column(k).items():
+                out[j] = out.get(j, 0j) + v * a
+        return make_ket(state.convention, out)
+    # Consecutive strings with the same x-mask (as in every named observable)
+    # land on one row: sum their signed coefficients, then write once. The
+    # zero-mask guards skip big-int work at large n.
+    terms = op.terms
+    first = terms[0][0] if terms else 0
     for k, a in state.amplitudes.items():
-        for j, v in op.col_action(k).items():
+        row, v = first, 0j
+        for x, z, c in terms:
+            if x != row:
+                if v:
+                    j = k ^ row if row else k
+                    out[j] = out.get(j, 0j) + v * a
+                row, v = x, 0j
+            v += -c if z and (k & z).bit_count() & 1 else c
+        if v:
+            j = k ^ row if row else k
             out[j] = out.get(j, 0j) + v * a
     return make_ket(state.convention, out)
 
 
 def identity_op(convention: BasisConvention) -> Operator:
-    return Operator(convention, lambda k: {k: 1.0 + 0j}, "identity")
+    return Operator(convention, ((0, 0, 1.0 + 0j),), "identity")
+
+
+# +-1/2, the coefficient of Z_path in (I +- Z_path)/2, and i times it
+_ARM_HALVES = {"L": (0.5 + 0j, 0.5j), "R": (-0.5 + 0j, complex(0.0, -0.5))}
+
+
+def _path_mask(convention: BasisConvention, photon: int, arm: str) -> int:
+    convention.check_photon(photon)
+    if arm not in _ARM_HALVES:
+        raise InputError(f"arm must be 'L' or 'R', got {arm!r}")
+    return 1 << convention.bit_position(photon - 1)
 
 
 def path_projector(convention: BasisConvention, photon: int, arm: str) -> Operator:
-    """|arm><arm| on the path factor of one photon, identity elsewhere."""
-    convention.check_photon(photon)
-    if arm not in ("L", "R"):
-        raise InputError(f"arm must be 'L' or 'R', got {arm!r}")
-    want = _PATH_CHARS[arm]
-    shift = convention.bit_position(photon - 1)
-
-    def col(k: int) -> dict[int, complex]:
-        return {k: 1.0 + 0j} if (k >> shift) & 1 == want else {}
-
-    return Operator(convention, col, f"path:{photon}:{arm}")
+    """|arm><arm| on the path factor of one photon, identity elsewhere: (I +- Z_path)/2."""
+    p = _path_mask(convention, photon, arm)
+    return Operator(convention, ((0, 0, 0.5 + 0j), (0, p, _ARM_HALVES[arm][0])), f"path:{photon}:{arm}")
 
 
 def circular_sigma_z(convention: BasisConvention, photon: int) -> Operator:
-    """Circular polarization observable on one photon.
+    """Circular polarization observable on one photon: Pauli Y = i X Z on its polarization bit.
 
     In the H/V basis this is [[0, -i], [i, 0]]: H maps to i V and V to -i H.
     Eigenvalues are exactly +1 and -1 on the circular basis states.
     """
     convention.check_photon(photon)
-    shift = convention.bit_position(convention.n_photons + photon - 1)
-    mask = 1 << shift
-
-    def col(k: int) -> dict[int, complex]:
-        if k & mask:
-            return {k ^ mask: -1j}
-        return {k ^ mask: 1j}
-
-    return Operator(convention, col, f"sigma:{photon}")
+    m = 1 << convention.bit_position(convention.n_photons + photon - 1)
+    return Operator(convention, ((m, m, 1j),), f"sigma:{photon}")
 
 
 def grin_observable(convention: BasisConvention, photon: int, arm: str) -> Operator:
-    """Product of the circular polarization observable and one arm's projector.
+    """Product of the circular polarization observable and one arm's projector: Y (I +- Z_path)/2.
 
     The two act on disjoint factors of the same photon, so they commute and
     the product is Hermitian.
     """
-    convention.check_photon(photon)
-    if arm not in ("L", "R"):
-        raise InputError(f"arm must be 'L' or 'R', got {arm!r}")
-    want = _PATH_CHARS[arm]
-    path_shift = convention.bit_position(photon - 1)
-    pol_shift = convention.bit_position(convention.n_photons + photon - 1)
-    mask = 1 << pol_shift
+    p = _path_mask(convention, photon, arm)
+    m = p >> convention.n_photons  # a photon's polarization bit sits n places below its path bit
+    return Operator(convention, ((m, m, 0.5j), (m, m | p, _ARM_HALVES[arm][1])), f"grin:{photon}:{arm}")
 
-    def col(k: int) -> dict[int, complex]:
-        if (k >> path_shift) & 1 != want:
-            return {}
-        if k & mask:
-            return {k ^ mask: -1j}
-        return {k ^ mask: 1j}
 
-    return Operator(convention, col, f"grin:{photon}:{arm}")
+def _merged(terms: Iterable[tuple[int, int, complex]]) -> tuple[tuple[int, int, complex], ...]:
+    """Sum the coefficients of equal (x, z) strings and drop the ones that come out 0."""
+    merged: dict[tuple[int, int], complex] = {}
+    for x, z, c in terms:
+        merged[x, z] = merged.get((x, z), 0j) + c
+    return tuple((x, z, c) for (x, z), c in merged.items() if c != 0)
+
+
+def _matrix(op: Operator) -> np.ndarray:
+    return op.matrix if op.matrix is not None else op.to_dense()
 
 
 def op_add(a: Operator, b: Operator) -> Operator:
     if a.convention != b.convention:
         raise InputError("operator sum between mixed conventions")
-
-    def col(k: int) -> dict[int, complex]:
-        out = dict(a.col_action(k))
-        for j, v in b.col_action(k).items():
-            out[j] = out.get(j, 0j) + v
-        return out
-
-    return Operator(a.convention, col, f"({a.name}+{b.name})")
+    name = f"({a.name}+{b.name})"
+    if a.matrix is not None or b.matrix is not None:
+        return operator_from_dense(a.convention, _matrix(a) + _matrix(b), name)
+    return Operator(a.convention, _merged(a.terms + b.terms), name)
 
 
 def op_scale(c: complex, a: Operator) -> Operator:
     cc = complex(c)
-    return Operator(a.convention, lambda k: {j: cc * v for j, v in a.col_action(k).items()},
-                    f"{c}*{a.name}")
+    name = f"{c}*{a.name}"
+    if a.matrix is not None:
+        return operator_from_dense(a.convention, cc * a.matrix, name)
+    return Operator(a.convention, _merged((x, z, cc * v) for x, z, v in a.terms), name)
 
 
 def op_compose(a: Operator, b: Operator) -> Operator:
-    """Operator product a @ b (apply b first)."""
+    """Operator product a @ b (apply b first).
+
+    Z^z1 X^x2 = (-1)^popcount(z1 & x2) X^x2 Z^z1, so two strings multiply to
+    the phased string c1 c2 (-1)^popcount(z1 & x2) X^(x1 ^ x2) Z^(z1 ^ z2).
+    """
     if a.convention != b.convention:
         raise InputError("operator product between mixed conventions")
-
-    def col(k: int) -> dict[int, complex]:
-        out: dict[int, complex] = {}
-        for m, v in b.col_action(k).items():
-            for j, w in a.col_action(m).items():
-                out[j] = out.get(j, 0j) + w * v
-        return out
-
-    return Operator(a.convention, col, f"({a.name}@{b.name})")
+    name = f"({a.name}@{b.name})"
+    if a.matrix is not None or b.matrix is not None:
+        return operator_from_dense(a.convention, _matrix(a) @ _matrix(b), name)
+    products = (
+        (x1 ^ x2, z1 ^ z2, -c1 * c2 if (z1 & x2).bit_count() & 1 else c1 * c2)
+        for x1, z1, c1 in a.terms
+        for x2, z2, c2 in b.terms
+    )
+    return Operator(a.convention, _merged(products), name)
 
 
 def operator_from_dense(convention: BasisConvention, matrix: np.ndarray, name: str = "") -> Operator:
@@ -398,83 +436,4 @@ def operator_from_dense(convention: BasisConvention, matrix: np.ndarray, name: s
         raise InputError(
             f"matrix shape {matrix.shape} does not match dim {convention.dim}"
         )
-
-    def col(k: int) -> dict[int, complex]:
-        column = matrix[:, k]
-        return {int(j): complex(column[j]) for j in np.nonzero(column)[0]}
-
-    return Operator(convention, col, name)
-
-
-# ---------------------------------------------------------------------------
-# structured text serialization
-#
-# Kets:                               Operators:
-#     ket n=2                             operator n=1
-#     0100 0.7071067811865476 0.0         00 00 1.0 0.0
-#     1000 0.7071067811865476 0.0         ...
-#
-# One row per nonzero amplitude (entry), floats written with repr so the
-# round-trip is bit exact.
-
-
-def ket_to_text(state: Ket) -> str:
-    lines = [f"ket n={state.convention.n_photons}"]
-    for k in sorted(state.amplitudes):
-        a = state.amplitudes[k]
-        label = state.convention.label_of_index(k)
-        lines.append(f"{label} {a.real!r} {a.imag!r}")
-    return "\n".join(lines) + "\n"
-
-
-def ket_from_text(text: str) -> Ket:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
-    if not lines or not lines[0].startswith("ket "):
-        raise InputError("ket text must start with a 'ket n=<photons>' header")
-    header = lines[0].split()
-    if len(header) != 2 or not header[1].startswith("n="):
-        raise InputError(f"malformed ket header {lines[0]!r}")
-    convention = BasisConvention(int(header[1][2:]))
-    amps: dict[int, complex] = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise InputError(f"malformed ket row {ln!r}")
-        k = convention.index_of_label(parts[0])
-        amps[k] = amps.get(k, 0j) + complex(float(parts[1]), float(parts[2]))
-    return make_ket(convention, amps)
-
-
-def operator_to_text(op: Operator) -> str:
-    lines = [f"operator n={op.convention.n_photons}"]
-    for j, k, v in op.items():
-        row = op.convention.label_of_index(j)
-        col = op.convention.label_of_index(k)
-        lines.append(f"{row} {col} {v.real!r} {v.imag!r}")
-    return "\n".join(lines) + "\n"
-
-
-def operator_from_text(text: str) -> Operator:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
-    if not lines or not lines[0].startswith("operator "):
-        raise InputError("operator text must start with an 'operator n=<photons>' header")
-    header = lines[0].split()
-    if len(header) != 2 or not header[1].startswith("n="):
-        raise InputError(f"malformed operator header {lines[0]!r}")
-    convention = BasisConvention(int(header[1][2:]))
-    entries: dict[tuple[int, int], complex] = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 4:
-            raise InputError(f"malformed operator row {ln!r}")
-        j = convention.index_of_label(parts[0])
-        k = convention.index_of_label(parts[1])
-        entries[(j, k)] = entries.get((j, k), 0j) + complex(float(parts[2]), float(parts[3]))
-    columns: dict[int, dict[int, complex]] = {}
-    for (j, k), v in entries.items():
-        columns.setdefault(k, {})[j] = v
-
-    def col(k: int) -> dict[int, complex]:
-        return dict(columns.get(k, {}))
-
-    return Operator(convention, col, "from_text")
+    return Operator(convention, name=name, matrix=matrix)

@@ -51,17 +51,19 @@ _SUPPORT_REL = 1e-12
 
 @dataclass(frozen=True)
 class WeakValueTarget:
-    """One constraint: the observable's weak value must equal `target`."""
+    """One constraint: the observable's weak value must equal `target`.
+
+    The observable must be Hermitian within 1e-12. The check reads the
+    operator's Pauli coefficients (or its dense matrix), so it is exact and
+    runs at every photon count.
+    """
 
     observable: Operator
     target: complex
 
     def __post_init__(self):
-        dim = self.observable.convention.dim
-        if dim <= 64:
-            dense = self.observable.to_dense()
-            if np.max(np.abs(dense - dense.conj().T)) > _HERMITIAN_TOL:
-                raise InputError("target observable is not Hermitian within 1e-12")
+        if self.observable.hermitian_defect() > _HERMITIAN_TOL:
+            raise InputError("target observable is not Hermitian within 1e-12")
 
 
 @dataclass(frozen=True)

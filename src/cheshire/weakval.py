@@ -31,6 +31,7 @@ Hermitian on that space is rejected with InputError (CLI exit 2).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,12 +206,10 @@ class PointerConfig:
     points: int = 512
 
     def __post_init__(self):
-        if self.g <= 0:
-            raise InputError(f"coupling g must be positive, got {self.g}")
-        if self.sigma_p <= 0:
-            raise InputError(f"sigma_p must be positive, got {self.sigma_p}")
-        if self.extent <= 0:
-            raise InputError(f"extent must be positive, got {self.extent}")
+        for name in ("g", "sigma_p", "extent"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise InputError(f"{name} must be finite and positive, got {value}")
         if self.points < 16:
             raise InputError(f"points must be at least 16, got {self.points}")
 

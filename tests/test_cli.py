@@ -127,6 +127,14 @@ def test_tolerance_must_be_positive():
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_tolerance_must_be_finite(tol):
+    """nan would fail every comparison and inf would pass any result."""
+    result = run_cli("--tol", tol, "scenario", "two-cat")
+    assert result.exit_code == 2
+    assert "--tol must be finite and positive" in result.stderr
+
+
 def test_unknown_format_rejected():
     assert run_cli("--format", "yaml", "scenario", "two-cat").exit_code == 2
 
@@ -189,6 +197,14 @@ def test_solve_vacuous_targets_exit_three(tmp_path):
 def test_solve_malformed_file_exits_two(tmp_path):
     path = tmp_path / "broken.problem"
     path.write_text("photons 2\npre 0100 oops 0\n")
+    result = run_cli("solve", str(path))
+    assert result.exit_code == 2
+    assert "line 2" in result.stderr
+
+
+def test_solve_overflowing_expression_exits_two(tmp_path):
+    path = tmp_path / "overflow.problem"
+    path.write_text("photons 1\npre 00 exp(1000) 0\ntarget path:1:L 1 0\n")
     result = run_cli("solve", str(path))
     assert result.exit_code == 2
     assert "line 2" in result.stderr
@@ -326,6 +342,13 @@ def test_pointer_table_output():
 def test_pointer_bad_schedule_exits_two(g_text):
     result = run_cli("pointer", "two-cat", "grin:1:R", "--g", g_text)
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("sigma_p", ["nan", "inf"])
+def test_pointer_non_finite_spread_exits_two(sigma_p):
+    result = run_cli("pointer", "two-cat", "path:1:L", "--sigma-p", sigma_p)
+    assert result.exit_code == 2
+    assert "sigma_p must be finite and positive" in result.stderr
 
 
 def test_pointer_bad_descriptor_exits_two():

@@ -51,3 +51,9 @@ def test_malformed_expressions(bad):
 def test_division_by_zero():
     with pytest.raises(InputError):
         parse_complex("1/0")
+
+
+@pytest.mark.parametrize("text", ["exp(1000)", "cos(1000*i)"])
+def test_function_overflow_is_input_error(text):
+    with pytest.raises(InputError, match="overflows"):
+        parse_real(text)

@@ -1,4 +1,4 @@
-"""State space, labels, operators, and serialization.
+"""State space, labels, and operators.
 
 Operator tests compare the package's sparse column construction against
 dense Kronecker-product oracles from conftest; small dimensions compare
@@ -275,6 +275,108 @@ def test_operator_from_dense_matches():
     )
 
 
+# ---------------------------------------------------------------------------
+# term form against the column closures it replaced
+#
+# Until the Pauli-string form, operators were closures from a column index to
+# that column's entries, and WeakValueTarget checked Hermiticity on the dense
+# matrix built from them. Those closures are the reference here.
+
+
+def _ref_path(conv, photon, arm):
+    want = "LR".index(arm)
+    shift = conv.bit_position(photon - 1)
+    return lambda k: {k: 1.0 + 0j} if (k >> shift) & 1 == want else {}
+
+
+def _ref_sigma(conv, photon):
+    mask = 1 << conv.bit_position(conv.n_photons + photon - 1)
+    return lambda k: {k ^ mask: -1j if k & mask else 1j}
+
+
+def _ref_grin(conv, photon, arm):
+    path, sigma = _ref_path(conv, photon, arm), _ref_sigma(conv, photon)
+    return lambda k: sigma(k) if path(k) else {}
+
+
+def _ref_add(a, b):
+    def col(k):
+        out = dict(a(k))
+        for j, v in b(k).items():
+            out[j] = out.get(j, 0j) + v
+        return out
+
+    return col
+
+
+def _ref_scale(c, a):
+    cc = complex(c)
+    return lambda k: {j: cc * v for j, v in a(k).items()}
+
+
+def _ref_compose(a, b):
+    def col(k):
+        out = {}
+        for m, v in b(k).items():
+            for j, w in a(m).items():
+                out[j] = out.get(j, 0j) + w * v
+        return out
+
+    return col
+
+
+def _ref_rejects(col, dim):
+    """The dense Hermiticity check WeakValueTarget made at dim <= 64."""
+    dense = np.zeros((dim, dim), dtype=complex)
+    for k in range(dim):
+        for j, v in col(k).items():
+            if abs(v) >= 1e-14:
+                dense[j, k] = v
+    return np.max(np.abs(dense - dense.conj().T)) > 1e-12
+
+
+def _operator_pairs(conv):
+    """(operator, reference closure) for every named observable, every pairwise
+    sum and product of them, and each of them scaled by 2, -0.5, 1j, 0.3+0.7j."""
+    named = [(ch.identity_op(conv), lambda k: {k: 1.0 + 0j})]
+    for photon in range(1, conv.n_photons + 1):
+        named.append((ch.circular_sigma_z(conv, photon), _ref_sigma(conv, photon)))
+        for arm in "LR":
+            named.append((ch.path_projector(conv, photon, arm), _ref_path(conv, photon, arm)))
+            named.append((ch.grin_observable(conv, photon, arm), _ref_grin(conv, photon, arm)))
+    pairs = list(named)
+    for i, (a, ref_a) in enumerate(named):
+        pairs += [(ch.op_add(a, b), _ref_add(ref_a, ref_b)) for b, ref_b in named[i:]]
+        pairs += [(ch.op_compose(a, b), _ref_compose(ref_a, ref_b)) for b, ref_b in named]
+        pairs += [(ch.op_scale(c, a), _ref_scale(c, ref_a)) for c in (2, -0.5, 1j, 0.3 + 0.7j)]
+    return pairs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_term_form_columns_equal_closures(n):
+    conv = ch.BasisConvention(n)
+    for op, ref in _operator_pairs(conv):
+        for k in range(conv.dim):
+            assert op.column(k) == {j: v for j, v in ref(k).items() if v != 0}, (op.name, k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hermiticity_verdicts_match_dense_check(n):
+    conv = ch.BasisConvention(n)
+    rejected = 0
+    for op, ref in _operator_pairs(conv):
+        for c in (1, 1 + 1e-13j, 1 + 1e-11j):
+            want_reject = _ref_rejects(_ref_scale(c, ref), conv.dim)
+            rejected += want_reject
+            try:
+                ch.WeakValueTarget(ch.op_scale(c, op), 0.5)
+            except InputError:
+                assert want_reject, op.name
+            else:
+                assert not want_reject, op.name
+    assert rejected > 0
+
+
 def test_dense_guard_blocks_large_operators():
     conv = ch.BasisConvention(6)  # dim 4096
     with pytest.raises(InputError):
@@ -300,34 +402,3 @@ def test_single_cat_overlap_frozen():
     pre = ch.make_ket(C1, {0: 1j / math.sqrt(2), 2: 1 / math.sqrt(2)})
     post = ch.make_ket(C1, {0: 1 / math.sqrt(2), 3: 1 / math.sqrt(2)})
     assert ch.inner(post, pre) == pytest.approx(0.5j)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_ket_text_roundtrip_exact():
-    rng = np.random.default_rng(18)
-    state = random_ket(rng, 2)
-    again = ch.ket_from_text(ch.ket_to_text(state))
-    assert again.convention == state.convention
-    assert again.amplitudes == state.amplitudes  # bitwise, repr round-trip
-
-
-def test_ket_text_header():
-    text = ch.ket_to_text(ch.basis_ket(C2, "0100"))
-    assert text.splitlines()[0] == "ket n=2"
-    assert "0100" in text
-
-
-def test_ket_from_text_errors():
-    with pytest.raises(InputError):
-        ch.ket_from_text("not a header\n")
-    with pytest.raises(InputError):
-        ch.ket_from_text("ket n=1\n0100 1 0\n")
-
-
-def test_operator_text_roundtrip():
-    op = ch.grin_observable(C1, 1, "R")
-    again = ch.operator_from_text(ch.operator_to_text(op))
-    np.testing.assert_allclose(again.to_dense(), op.to_dense(), atol=0)

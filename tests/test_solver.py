@@ -61,6 +61,34 @@ def test_non_hermitian_observable_rejected():
         ch.WeakValueTarget(ch.operator_from_dense(C1, mat), 0.5)
 
 
+@pytest.mark.parametrize("n", [3, 4, 40])
+def test_non_hermitian_observable_rejected_at_every_n(n):
+    """i P_L is anti-Hermitian; the check must not stop at some dimension."""
+    obs = ch.op_scale(1j, ch.path_projector(ch.BasisConvention(n), 1, "L"))
+    with pytest.raises(InputError, match="not Hermitian"):
+        ch.WeakValueTarget(obs, 1)
+
+
+def test_named_observables_accepted_at_forty_photons():
+    conv = ch.BasisConvention(40)
+
+    def named(photons):
+        return [ch.identity_op(conv)] + [
+            obs
+            for photon in photons
+            for obs in [ch.circular_sigma_z(conv, photon)]
+            + [build(conv, photon, arm) for build in (ch.path_projector, ch.grin_observable) for arm in "LR"]
+        ]
+
+    for obs in named(range(1, 41)):
+        ch.WeakValueTarget(obs, 0.5)
+    few = named((1, 2, 40))
+    for a in few:
+        for b in few:
+            ch.WeakValueTarget(ch.op_add(a, b), 0.5)
+            ch.WeakValueTarget(ch.op_compose(a, b), 0.5)
+
+
 # ---------------------------------------------------------------------------
 # reproduction of the known family
 

@@ -220,6 +220,14 @@ def test_pointer_config_validation():
     assert cfg.sigma_x == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("field", ["g", "sigma_p", "extent"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_pointer_config_rejects_non_finite(field, value):
+    settings = {"g": 1e-2, field: value}
+    with pytest.raises(InputError, match="finite and positive"):
+        ch.PointerConfig(**settings)
+
+
 def test_pointer_real_part_contract():
     """shift/g converges to Re<O>_w quadratically in g."""
     pair = two_cat_pair()
@@ -277,7 +285,9 @@ def test_pointer_rejects_vanishing_postselection():
 def test_pointer_rejects_non_hermitian_observable():
     """|0100><1000| has weak value 1 on two_cat, but no pointer coupling reads it."""
     pair = ch.two_cat()
-    obs = ch.Operator(C2, lambda k: {4: 1.0 + 0j} if k == 8 else {}, "|0100><1000|")
+    mat = np.zeros((C2.dim, C2.dim), dtype=complex)
+    mat[4, 8] = 1.0
+    obs = ch.operator_from_dense(C2, mat, "|0100><1000|")
     assert ch.weak_value(obs, pair) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(InputError, match="not Hermitian"):
         ch.pointer_shift(obs, pair, ch.PointerConfig(g=1e-2))
