@@ -329,10 +329,10 @@ def pointer(ctx: click.Context, scenario_id: str, descriptor: str, g_text: str, 
         obs = weakval.observable_from_descriptor(pair.convention, descriptor)
         w = weakval.weak_value(obs, pair)
         couplings = [parse_real(tok) for tok in g_text.split(",") if tok.strip()]
-        if not couplings:
-            raise InputError("--g needs at least one coupling")
         if any(g <= 0 for g in couplings):
             raise InputError("couplings must be positive")
+        if len(set(couplings)) < 2:
+            raise InputError("--g needs at least two distinct couplings to test convergence")
         rows = []
         deviations = []
         for g in couplings:

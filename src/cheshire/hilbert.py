@@ -30,9 +30,9 @@ circular polarization observable
 
 which is Pauli Y_m = i X_m Z_m (sigma_z|H> = i|V>, sigma_z|V> = -i|H> in
 the H/V basis), and their per-arm products Y_m (I +- Z_p)/2. Sums, scalings
-and products stay in this form, so applying an operator or checking that it
-is Hermitian never depends on the dimension 4**n. Only `operator_from_dense`
-keeps a dense matrix.
+and products stay in this form, so applying an operator, taking a matrix
+element <bra|O|ket> or checking that it is Hermitian never depends on the
+dimension 4**n. Only `operator_from_dense` keeps a dense matrix.
 
 Global phase is never silently normalized away; comparing two kets up to a
 global phase is the separate operation `fidelity_up_to_phase`.
@@ -190,9 +190,10 @@ class Ket:
 def make_ket(convention: BasisConvention, amplitudes: dict[int, complex]) -> Ket:
     """Build a Ket from raw amplitudes, pruning and setting the norm flag."""
     amps = _prune(amplitudes)
+    dim = convention.dim
     for k in amps:
-        if not 0 <= k < convention.dim:
-            raise InputError(f"basis index {k} out of range for dim {convention.dim}")
+        if not 0 <= k < dim:
+            raise InputError(f"basis index {k} out of range for dim {dim}")
     total = sum(abs(a) ** 2 for a in amps.values())
     return Ket(convention, amps, abs(total - 1.0) <= NORM_TOL)
 
@@ -337,6 +338,35 @@ def apply(op: Operator, state: Ket) -> Ket:
             j = k ^ row if row else k
             out[j] = out.get(j, 0j) + v * a
     return make_ket(state.convention, out)
+
+
+def matrix_element(bra: Ket, op: Operator, ket: Ket) -> complex:
+    """<bra|O|ket>, conjugate-linear in bra, without building O|ket>.
+
+    The string (x, z, c) contributes c (-1)^popcount(k & z) conj(bra[k ^ x]) ket[k]
+    for every k in ket's support, so the sum costs one lookup in bra per
+    amplitude and x-mask, builds no Ket and prunes nothing. As in `apply`,
+    consecutive strings with the same x-mask are summed first, and zero masks
+    skip the big-int XOR and AND.
+    """
+    if not bra.convention == op.convention == ket.convention:
+        raise InputError("matrix element between mixed conventions")
+    if op.matrix is not None:
+        return inner(bra, apply(op, ket))
+    terms, amps = op.terms, bra.amplitudes
+    first = terms[0][0] if terms else 0
+    total = 0j
+    for k, a in ket.amplitudes.items():
+        row, v = first, 0j
+        for x, z, c in terms:
+            if x != row:
+                if v and (b := amps.get(k ^ row if row else k)) is not None:
+                    total += b.conjugate() * (v * a)
+                row, v = x, 0j
+            v += -c if z and (k & z).bit_count() & 1 else c
+        if v and (b := amps.get(k ^ row if row else k)) is not None:
+            total += b.conjugate() * (v * a)
+    return total
 
 
 def identity_op(convention: BasisConvention) -> Operator:

@@ -92,7 +92,7 @@ def _checked_overlap(pair: PrePostPair) -> complex:
 def weak_value(obs: Operator, pair: PrePostPair) -> complex:
     """<post|O|pre> / <post|pre>."""
     ovl = _checked_overlap(pair)
-    numerator = hilbert.inner(pair.post, hilbert.apply(obs, pair.pre))
+    numerator = hilbert.matrix_element(pair.post, obs, pair.pre)
     return numerator / ovl
 
 
@@ -186,7 +186,7 @@ def weak_value_report(pair: PrePostPair) -> WeakValueReport:
         for kind in KINDS:
             for arm in ARMS:
                 obs = observable_for(convention, kind, photon, arm)
-                numerator = hilbert.inner(pair.post, hilbert.apply(obs, pair.pre))
+                numerator = hilbert.matrix_element(pair.post, obs, pair.pre)
                 entries[(kind, photon, arm)] = numerator / ovl
     return WeakValueReport(pair.n_photons, entries, ovl)
 
@@ -226,13 +226,13 @@ class PointerConfig:
         """Grid, normalized Gaussian, and step; validates the truncation deficit."""
         x, dx = self.grid()
         sx = self.sigma_x
+        grid_text = f"(extent={self.extent}, points={self.points}, sigma_x={sx})"
+        if sx * sx == 0.0:
+            raise InputError(f"pointer grid too coarse or narrow: sigma_x**2 underflows to 0 {grid_text}")
         psi = (2.0 * np.pi * sx * sx) ** (-0.25) * np.exp(-(x * x) / (4.0 * sx * sx))
         total = float(np.sum(np.abs(psi) ** 2) * dx)
         if abs(total - 1.0) > 1e-10:
-            raise InputError(
-                f"pointer grid too coarse or narrow: truncated norm {total!r} "
-                f"(extent={self.extent}, points={self.points}, sigma_x={sx})"
-            )
+            raise InputError(f"pointer grid too coarse or narrow: truncated norm {total!r} {grid_text}")
         return x, psi / np.sqrt(total), dx
 
 

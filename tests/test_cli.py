@@ -338,7 +338,7 @@ def test_pointer_table_output():
     assert "# convergence PASS" in result.output
 
 
-@pytest.mark.parametrize("g_text", ["", "-1e-2", "0"])
+@pytest.mark.parametrize("g_text", ["", "-1e-2", "0", "1e3", "1e-2,1e-2"])
 def test_pointer_bad_schedule_exits_two(g_text):
     result = run_cli("pointer", "two-cat", "grin:1:R", "--g", g_text)
     assert result.exit_code == 2
@@ -349,6 +349,13 @@ def test_pointer_non_finite_spread_exits_two(sigma_p):
     result = run_cli("pointer", "two-cat", "path:1:L", "--sigma-p", sigma_p)
     assert result.exit_code == 2
     assert "sigma_p must be finite and positive" in result.stderr
+
+
+def test_pointer_underflowing_position_width_exits_two():
+    """sigma_x = 1/(2 sigma_p) is finite, but its square underflows to 0."""
+    result = run_cli("pointer", "two-cat", "path:1:L", "--sigma-p", "1e300")
+    assert result.exit_code == 2
+    assert "pointer grid too coarse or narrow" in result.stderr
 
 
 def test_pointer_bad_descriptor_exits_two():

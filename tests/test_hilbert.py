@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import cheshire as ch
+from cheshire import hilbert
 from cheshire.errors import InputError, ZeroNormError
 from conftest import (
     dense_grin,
@@ -381,6 +382,78 @@ def test_dense_guard_blocks_large_operators():
     conv = ch.BasisConvention(6)  # dim 4096
     with pytest.raises(InputError):
         ch.path_projector(conv, 1, "L").to_dense()
+
+
+# ---------------------------------------------------------------------------
+# matrix elements against the applied state they avoid building
+#
+# hilbert.matrix_element sums over the terms and the ket's amplitudes without
+# forming O|ket>; inner(bra, apply(op, ket)) is the reference.
+
+
+def _sparse_ket(rng, conv):
+    support = rng.choice(conv.dim, size=min(conv.dim, int(rng.integers(1, 13))), replace=False)
+    amps = rng.standard_normal(len(support)) + 1j * rng.standard_normal(len(support))
+    return ch.make_ket(conv, {int(k): complex(a) for k, a in zip(support, amps)})
+
+
+def _matrix_element_operators(conv):
+    """Every named observable, sums, scalings and products of them, and a zero operator."""
+    named = [ch.identity_op(conv)]
+    for photon in range(1, conv.n_photons + 1):
+        named.append(ch.circular_sigma_z(conv, photon))
+        for arm in "LR":
+            named += [ch.path_projector(conv, photon, arm), ch.grin_observable(conv, photon, arm)]
+    ops = list(named)
+    for a, b in zip(named, named[1:] + named[:1]):
+        ops += [ch.op_add(a, b), ch.op_compose(a, b), ch.op_scale(0.3 - 0.7j, a)]
+    ops.append(ch.op_add(ch.op_compose(named[-1], named[1]), ch.op_scale(-2.5, named[2])))
+    path = ch.path_projector(conv, 1, "L")
+    ops.append(ch.op_add(path, ch.op_scale(-1, path)))
+    return ops
+
+
+def _assert_matrix_element_matches(bra, op, ket):
+    got = hilbert.matrix_element(bra, op, ket)
+    want = ch.inner(bra, ch.apply(op, ket))
+    # bounds the operator norm: each Pauli string has norm 1
+    size = np.linalg.norm(op.matrix, 2) if op.matrix is not None else sum(abs(c) for *_, c in op.terms)
+    assert abs(got - want) <= 1e-12 * bra.norm() * ket.norm() * size, (op.name, got, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_matrix_element_matches_applied_state(n):
+    rng = np.random.default_rng(40 + n)
+    conv = ch.BasisConvention(n)
+    ops = _matrix_element_operators(conv)
+    assert any(not op.terms for op in ops)  # the zero operator
+    for _ in range(40):
+        bra, ket = _sparse_ket(rng, conv), _sparse_ket(rng, conv)
+        for op in ops:
+            _assert_matrix_element_matches(bra, op, ket)
+        # same support on both sides, so most strings contribute
+        _assert_matrix_element_matches(ch.superpose([(1.5j, ket)]), ops[-2], ket)
+        _assert_matrix_element_matches(ket, ops[1], ket)
+
+
+def test_matrix_element_of_dense_operator():
+    rng = np.random.default_rng(46)
+    mat = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    op = ch.operator_from_dense(C2, mat)
+    for _ in range(20):
+        bra, ket = _sparse_ket(rng, C2), _sparse_ket(rng, C2)
+        _assert_matrix_element_matches(bra, op, ket)
+        want = complex(ket_vec(bra).conj() @ mat @ ket_vec(ket))
+        scale = bra.norm() * ket.norm() * np.linalg.norm(mat, 2)
+        assert abs(hilbert.matrix_element(bra, op, ket) - want) <= 1e-12 * scale
+
+
+def test_matrix_element_rejects_mixed_conventions():
+    one, two = ch.basis_ket(C1, "00"), ch.basis_ket(C2, "0000")
+    op1, op2 = ch.identity_op(C1), ch.identity_op(C2)
+    for bra, op, ket in ((one, op2, two), (two, op1, two), (two, op2, one), (one, op1, two)):
+        with pytest.raises(InputError, match="mixed conventions"):
+            hilbert.matrix_element(bra, op, ket)
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,64 @@ def test_pointer_at_twenty_photons():
 
 
 # ---------------------------------------------------------------------------
+# reports from matrix elements against reports from applied states
+#
+# weak_value and weak_value_report take <post|O|pre> with
+# hilbert.matrix_element. Before that they built O|pre> and took one inner
+# product with it; that form is the reference, and on the paper's scenarios
+# the two agree bit for bit.
+
+
+def applied_state_weak_value(obs, pair):
+    return ch.inner(pair.post, ch.apply(obs, pair.pre)) / pair.overlap()
+
+
+CAT_PAIRS = [ch.single()] + [ch.n_cat(n) for n in (*range(2, 13), 64, 512)]
+GENERAL_PAIRS = [
+    ch.general_two_cat(theta, phi)
+    for theta in (0.05, math.pi / 8, 0.7, 1.1, math.pi / 2 - 0.05)
+    for phi in (0.0, 1.0, math.pi / 2, 2.3, math.pi, 5.9)
+]
+
+
+@pytest.mark.parametrize("pair", CAT_PAIRS + GENERAL_PAIRS, ids=lambda pair: f"n{pair.n_photons}")
+def test_report_equals_applied_state_reference(pair):
+    report = ch.weak_value_report(pair)
+    assert report.overlap == pair.overlap()
+    assert len(report.entries) == 4 * pair.n_photons
+    for (kind, photon, arm), value in report.entries.items():
+        obs = ch.observable_for(pair.convention, kind, photon, arm)
+        assert value == applied_state_weak_value(obs, pair), (kind, photon, arm)
+
+
+@pytest.mark.parametrize("pair", CAT_PAIRS, ids=lambda pair: f"n{pair.n_photons}")
+def test_weak_value_equals_applied_state_reference(pair):
+    conv = pair.convention
+    for photon in range(1, pair.n_photons + 1):
+        for descriptor in (f"sigma:{photon}", f"path:{photon}:R", f"grin:{photon}:L"):
+            obs = ch.observable_from_descriptor(conv, descriptor)
+            assert ch.weak_value(obs, pair) == applied_state_weak_value(obs, pair), descriptor
+    identity = ch.identity_op(conv)
+    assert ch.weak_value(identity, pair) == applied_state_weak_value(identity, pair) == 1
+
+
+def test_weak_value_matches_applied_state_on_random_pairs():
+    for seed in range(60):
+        n = 1 + seed % 5
+        pair = random_sparse_pair(100 + seed, n)
+        conv = pair.convention
+        sigma = ch.circular_sigma_z(conv, n)
+        named = [ch.identity_op(conv), sigma] + [
+            ch.observable_for(conv, kind, photon, arm)
+            for photon in range(1, n + 1) for kind in ("path", "grin") for arm in "LR"
+        ]
+        for obs in named:
+            for op in (obs, ch.op_add(obs, sigma), ch.op_compose(obs, sigma), ch.op_scale(0.3 - 0.7j, obs)):
+                want = applied_state_weak_value(op, pair)
+                assert ch.weak_value(op, pair) == pytest.approx(want, rel=1e-12, abs=1e-12), op.name
+
+
+# ---------------------------------------------------------------------------
 # the dense readout as a reference: eigh over all 4**n basis states and one
 # pointer branch per basis state
 
