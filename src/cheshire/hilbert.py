@@ -43,6 +43,7 @@ function, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -194,7 +195,12 @@ def make_ket(convention: BasisConvention, amplitudes: dict[int, complex]) -> Ket
     for k in amps:
         if not 0 <= k < dim:
             raise InputError(f"basis index {k} out of range for dim {dim}")
-    total = sum(abs(a) ** 2 for a in amps.values())
+    try:
+        total = sum(abs(a) ** 2 for a in amps.values())
+    except OverflowError:
+        total = math.inf
+    if total == math.inf:
+        raise InputError("amplitudes too large: the squared norm overflows")
     return Ket(convention, amps, abs(total - 1.0) <= NORM_TOL)
 
 

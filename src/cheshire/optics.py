@@ -65,12 +65,11 @@ from .errors import (
     ZeroNormError,
 )
 from .expr import parse_complex, parse_real
-from .hilbert import BasisConvention, Ket
+from .hilbert import PRUNE_THRESHOLD, BasisConvention, Ket
 
 Config = tuple[tuple[str, str], ...]
 OpticsState = dict[Config, complex]
 
-_PRUNE = 1e-14
 _POLS = ("H", "V")
 _BLOCK = 4096
 
@@ -235,10 +234,6 @@ def _initial_state(circuit: Circuit) -> OpticsState:
 # propagation
 
 
-def _prune_state(state: OpticsState) -> OpticsState:
-    return {c: a for c, a in state.items() if abs(a) >= _PRUNE}
-
-
 def apply_element(state: OpticsState, element: Element) -> OpticsState:
     out: OpticsState = {}
     if isinstance(element, BeamSplitter):
@@ -267,7 +262,7 @@ def apply_element(state: OpticsState, element: Element) -> OpticsState:
                     )
             out[cfg_a] = out.get(cfg_a, 0j) + t * a_in - r.conjugate() * b_in
             out[cfg_b] = out.get(cfg_b, 0j) + r * a_in + t.conjugate() * b_in
-        return _prune_state(out)
+        return {c: a for c, a in out.items() if abs(a) >= PRUNE_THRESHOLD}
 
     i = element.photon - 1
     for config, amp in state.items():
@@ -305,7 +300,7 @@ def apply_element(state: OpticsState, element: Element) -> OpticsState:
             out[config] = out.get(config, 0j) + amp
         else:
             raise InputError(f"unknown element {element!r}")
-    return _prune_state(out)
+    return {c: a for c, a in out.items() if abs(a) >= PRUNE_THRESHOLD}
 
 
 def propagate(state: OpticsState, elements: Iterable[Element]) -> OpticsState:

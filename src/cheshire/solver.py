@@ -15,12 +15,15 @@ therefore has one column per active basis state, never 4^n of them, and
 solves at any photon count.
 
 The solve is exact linear algebra: a rank-revealing pass (SVD cutoff 1e-10
-relative to the largest singular value) fixes the numerical rank, a
+relative to the largest singular value) fixes the numerical rank, and a
 deterministic reduced-row-echelon elimination with lexicographic pivot order
-produces one nullspace basis vector per free column, and the returned state
-is the feasible basis vector with minimal support (fewest nonzero
-amplitudes), encoding the convention that unconstrained amplitudes are chosen
-zero. Ties break toward the lowest free-column index.
+leaves one nullspace vector per free column f: 1 at f, -echelon[p, f] at
+pivot column p. The returned state is the feasible one with minimal support
+(fewest nonzero amplitudes), encoding the convention that unconstrained
+amplitudes are chosen zero; ties break toward the lowest free column. The
+overlap, norm and support of every candidate are read from the echelon
+columns and only the chosen vector is built, so memory grows as rows times
+columns.
 
 The returned ket is unnormalized; its phase is fixed so the amplitude paired
 with the pre-state's first support term is purely negative-imaginary when
@@ -70,15 +73,15 @@ class WeakValueTarget:
 class ConstraintSystem:
     """Rows act on the conjugated post amplitudes at `columns`: matrix @ conj(m) = 0.
 
-    `columns` are the active basis indices in ascending order, the support of
-    the pre-state and of every (O_t - w_t)|pre>; matrix column j belongs to
-    basis state columns[j]. The system has this shape at any photon count.
+    Row t is (O_t - w_t I)|pre> for the t-th target. `columns` are the active
+    basis indices in ascending order, the support of the pre-state and of
+    every row; matrix column j belongs to basis state columns[j]. The system
+    has this shape at any photon count.
     """
 
     matrix: np.ndarray
     columns: tuple[int, ...]
     pre: Ket
-    targets: tuple[WeakValueTarget, ...]
 
 
 def assemble(pre: Ket, targets: Sequence[WeakValueTarget]) -> ConstraintSystem:
@@ -100,21 +103,21 @@ def assemble(pre: Ket, targets: Sequence[WeakValueTarget]) -> ConstraintSystem:
     for t, row in enumerate(rows):
         for k, a in row.amplitudes.items():
             matrix[t, position[k]] = a
-    return ConstraintSystem(matrix, columns, pre, tuple(targets))
+    return ConstraintSystem(matrix, columns, pre)
 
 
-def _rref_nullspace_basis(matrix: np.ndarray) -> list[np.ndarray]:
-    """Deterministic nullspace basis, one vector per free column.
+def _row_echelon(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic reduced row echelon form: (pivot rows, pivot columns).
 
     Pivot columns are taken left to right; a column pivots if its largest
-    remaining entry exceeds the SVD-derived cutoff. Basis vector for free
-    column f: unit entry at f, pivot entries back-substituted.
+    remaining entry exceeds the SVD-derived cutoff. Pivot row p is 1 at pivot
+    column p and 0 at every other pivot column.
     """
     rows, cols = matrix.shape
     work = matrix.astype(complex).copy()
     sigma_max = float(np.linalg.svd(work, compute_uv=False)[0]) if work.size and np.any(work) else 0.0
     cutoff = _RANK_CUTOFF_REL * sigma_max
-    pivots: list[tuple[int, int]] = []  # (row, col)
+    pivot_cols: list[int] = []
     r = 0
     for c in range(cols):
         if r >= rows:
@@ -129,50 +132,43 @@ def _rref_nullspace_basis(matrix: np.ndarray) -> list[np.ndarray]:
         for rr in range(rows):
             if rr != r and work[rr, c] != 0:
                 work[rr] = work[rr] - work[rr, c] * work[r]
-        pivots.append((r, c))
+        pivot_cols.append(c)
         r += 1
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for f in range(cols):
-        if f in pivot_cols:
-            continue
-        vec = np.zeros(cols, dtype=complex)
-        vec[f] = 1.0
-        for pr, pc in pivots:
-            vec[pc] = -work[pr, f]
-        basis.append(vec)
-    return basis
-
-
-def _support_size(vec: np.ndarray) -> int:
-    peak = float(np.max(np.abs(vec)))
-    return int(np.sum(np.abs(vec) > _SUPPORT_REL * peak))
+    return work[:r], np.array(pivot_cols, dtype=int)
 
 
 def solve_post(system: ConstraintSystem) -> Ket:
     """Pick the minimal-support feasible nullspace vector and fix phase/scale."""
-    basis = _rref_nullspace_basis(system.matrix)
+    echelon, pivots = _row_echelon(system.matrix)
+    cols = len(system.columns)
+    is_free = np.ones(cols, dtype=bool)
+    is_free[pivots] = False
+    free = is_free.nonzero()[0]
     # every inactive basis state is a nonzero solution orthogonal to the
     # pre-state, so an empty active nullspace is infeasible only when no
     # basis state is inactive; otherwise it is vacuous
-    if not basis and len(system.columns) == system.pre.convention.dim:
+    if not free.size and cols == system.pre.convention.dim:
         raise InfeasibleTargetsError("the constraint system has no nonzero solution")
     pre_vec = np.array([system.pre.amplitudes.get(k, 0j) for k in system.columns])
     pre_norm = float(np.linalg.norm(pre_vec))
-    best = None
-    for idx, y in enumerate(basis):
-        # y holds conj(post amplitudes); overlap <post|pre> = y . pre
-        overlap = complex(np.dot(y, pre_vec))
-        if abs(overlap) <= weakval.OVERLAP_THRESHOLD * float(np.linalg.norm(y)) * pre_norm:
-            continue
-        key = (_support_size(y), idx)
-        if best is None or key < best[0]:
-            best = (key, y)
-    if best is None:
+    coeffs = echelon[:, free]
+    mags = np.abs(coeffs)
+    # y_f holds conj(post amplitudes); overlap <post|pre> = y_f . pre
+    overlaps = pre_vec[free] - pre_vec[pivots] @ coeffs
+    norms = np.sqrt(1.0 + (mags * mags).sum(axis=0))
+    feasible = (np.abs(overlaps) > weakval.OVERLAP_THRESHOLD * norms * pre_norm).nonzero()[0]
+    if not feasible.size:
         raise VacuousSelectionError(
             "every solution of the constraint system is orthogonal to the pre-state"
         )
-    m = best[1].conj()
+    mags = mags[:, feasible]
+    cut = _SUPPORT_REL * mags.max(axis=0, initial=1.0)
+    support = (1.0 > cut) + (mags > cut).sum(axis=0)
+    f = free[feasible[support.argmin()]]
+    y = np.zeros(cols, dtype=complex)
+    y[f] = 1.0
+    y[pivots] = -echelon[:, f]
+    m = y.conj()
     peak = float(np.max(np.abs(m)))
     m[np.abs(m) <= _SUPPORT_REL * peak] = 0.0
     for j, k in enumerate(system.columns):

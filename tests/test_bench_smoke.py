@@ -3,7 +3,8 @@
 Each workload runs for one short stretch (at least 100 operations, or one
 whole round) in its own process, as `bench/run.py` would start it, and its
 outputs are checked against `bench/oracle.py`. The cli workload is left out:
-its 100 interpreter starts take 10-25 s.
+its 100 interpreter starts take 10-25 s. Synthesis also runs once with the
+trace on, which wraps package functions from outside.
 """
 
 import json
@@ -16,12 +17,23 @@ import pytest
 WORKLOAD = Path(__file__).resolve().parents[1] / "bench" / "workload.py"
 
 
-@pytest.mark.parametrize("workload", ["synthesis", "pointer", "optics", "patterns"])
-def test_workload_runs_correctly(workload):
-    argv = [sys.executable, str(WORKLOAD), "--workload", workload, "--seed", "1", "--seconds", "0", "--trace", "0"]
+def run_workload(workload, trace):
+    argv = [sys.executable, str(WORKLOAD), "--workload", workload, "--seed", "1", "--seconds", "0",
+            "--trace", str(trace)]
     proc = subprocess.run(argv, capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True, result
     assert result["failed"] == 0, result
-    assert result["attempted"] >= 100
+    return result
+
+
+@pytest.mark.parametrize("workload", ["synthesis", "pointer", "optics", "patterns"])
+def test_workload_runs_correctly(workload):
+    assert run_workload(workload, trace=0)["attempted"] >= 100
+
+
+def test_traced_synthesis_runs_correctly():
+    """The trace wraps package functions by name, so a deleted or renamed one fails here."""
+    result = run_workload("synthesis", trace=1)
+    assert result["layers"]["trace.exceptions"]["value"] == 0

@@ -210,6 +210,16 @@ def test_solve_overflowing_expression_exits_two(tmp_path):
     assert "line 2" in result.stderr
 
 
+@pytest.mark.parametrize("pre_rows", ["pre 00 1e200 0\n", "pre 00 1e154 0\npre 01 1e154 0\n"])
+def test_solve_overflowing_norm_exits_two(tmp_path, pre_rows):
+    """Finite amplitudes whose squared norm overflows are bad input, not a crash or an answer."""
+    path = tmp_path / "huge.problem"
+    path.write_text("photons 1\n" + pre_rows + "target path:1:L 1 0\n")
+    result = run_cli("solve", str(path))
+    assert result.exit_code == 2
+    assert "squared norm overflows" in result.stderr
+
+
 def test_solve_missing_file_exits_four(tmp_path):
     result = run_cli("solve", str(tmp_path / "absent.problem"))
     assert result.exit_code == 4

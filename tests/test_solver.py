@@ -9,6 +9,7 @@ are first measured from a known pair and then fed back in.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -428,7 +429,27 @@ def random_problem(seed, n):
     return pre, [ch.WeakValueTarget(obs, w) for obs, w in zip(observables, values)]
 
 
+def dense_pre_case(seed, n, kind):
+    """Dense random pre-state, so every basis state is an active column.
+
+    kind "delta" takes the 4n delta targets; kind "random" takes the
+    observables of random_problem(seed, n), each set to 0 or 1.
+    """
+    rng = np.random.default_rng(seed)
+    pre = random_ket(rng, n)
+    if kind == "delta":
+        return pre, solver.delta_targets(pre.convention)
+    _, targets = random_problem(seed, n)
+    return pre, [ch.WeakValueTarget(t.observable, complex(int(rng.integers(2)))) for t in targets]
+
+
 REFERENCE_CASES = {f"delta(n={n})": (lambda n=n: delta_case(n)) for n in range(1, 7)}
+REFERENCE_CASES |= {
+    f"dense-pre-{kind}(n={n},seed={seed})": (lambda s=seed, n=n, k=kind: dense_pre_case(s, n, k))
+    for n in range(1, 6)
+    for kind in ("delta", "random")
+    for seed in range(5)
+}
 REFERENCE_CASES |= {
     f"general({theta:.3f},{phi:.3f})": (
         lambda t=theta, p=phi: (ch.general_two_cat(t, p).pre, solver.delta_targets(C2))
@@ -478,3 +499,18 @@ def test_solve_matches_dense_reference_on_random_problems(n):
         assert got == solved_or_error(lambda: dense_solve_post(pre, targets)), seed
         outcomes.add(got[0] if isinstance(got, tuple) else "post")
     assert "post" in outcomes
+
+
+def test_dense_pre_state_solve_memory():
+    """A dense n = 6 pre-state activates all 4096 columns. The solve keeps
+    24 x 4096 echelon entries, not one 4096-entry vector per free column,
+    which would take about 260 MiB."""
+    pre, targets = dense_pre_case(6, 6, "delta")
+    system = ch.assemble(pre, targets)
+    tracemalloc.start()
+    try:
+        ch.solve_post(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
