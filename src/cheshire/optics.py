@@ -763,6 +763,8 @@ def parse_circuit(text: str) -> Circuit:
                 photon = int(_need(kv, "photon", line_no))
             except ValueError:
                 raise CircuitParseError("photon index must be an integer", line_no) from None
+            if not 1 <= photon <= n_photons:
+                raise CircuitParseError(f"detector photon {photon} is not in 1..{n_photons}", line_no)
             mode = _need(kv, "mode", line_no)
             pol = _need(kv, "pol", line_no)
             if pol not in _POLS:
@@ -776,6 +778,8 @@ def parse_circuit(text: str) -> Circuit:
         elif word == "postselect-on":
             if len(parts) != 2:
                 raise CircuitParseError("postselect-on needs one detector label", line_no)
+            if postselect_on is not None:
+                raise CircuitParseError("duplicate postselect-on line", line_no)
             postselect_on = parts[1]
         else:
             raise CircuitParseError(f"unknown directive {word!r}", line_no)

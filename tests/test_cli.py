@@ -10,6 +10,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -311,6 +312,25 @@ def test_circuit_malformed_file_exits_two(tmp_path):
     assert "line 2" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        ("detector D9 photon=7 mode=L pol=H", "detector photon 7 is not in 1..2"),
+        ("detector D9 photon=0 mode=L pol=H", "detector photon 0 is not in 1..2"),
+        ("postselect-on D1", "duplicate postselect-on line"),
+    ],
+    ids=["detector-photon-7", "detector-photon-0", "second-postselect-on"],
+)
+def test_circuit_bad_extra_line_exits_two(tmp_path, extra, message):
+    lines = Path(optics.builtin_circuit_path()).read_text(encoding="utf-8").splitlines()
+    path = tmp_path / "extra.circuit"
+    path.write_text("\n".join(lines + [extra]) + "\n")
+    result = run_cli("circuit", str(path))
+    assert result.exit_code == 2
+    assert f"line {len(lines) + 1}" in result.stderr
+    assert message in result.stderr
+
+
 def test_circuit_missing_file_exits_four(tmp_path):
     result = run_cli("circuit", str(tmp_path / "absent.circuit"))
     assert result.exit_code == 4
@@ -365,7 +385,31 @@ def test_pointer_underflowing_position_width_exits_two():
     """sigma_x = 1/(2 sigma_p) is finite, but its square underflows to 0."""
     result = run_cli("pointer", "two-cat", "path:1:L", "--sigma-p", "1e300")
     assert result.exit_code == 2
-    assert "pointer grid too coarse or narrow" in result.stderr
+    assert "pointer too narrow: sigma_x**2 underflows to 0" in result.stderr
+
+
+def test_pointer_wide_pointer_converges():
+    """sigma_x = 5: a wide pointer still converges quadratically."""
+    result = run_cli("--format", "json", "pointer", "two-cat", "grin:1:R", "--sigma-p", "0.1")
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert payload["convergence"] == "PASS"
+    devs = [row["deviation"] for row in payload["rows"]]
+    assert devs[0] / devs[1] == pytest.approx(4.0, rel=1e-3)
+    assert devs[1] / devs[2] == pytest.approx(4.0, rel=1e-3)
+
+
+@pytest.mark.parametrize(
+    "options",
+    [("--g", "1e200,1e199"), ("--g", "1e200,1e199", "--sigma-p", "1e150"), ("--g", "1.7e308,1e308")],
+)
+def test_pointer_extreme_couplings_stay_finite(options):
+    """g * sigma_p * (lambda - mu) overflows here; the readout must not turn it into nan."""
+    proc = spawn("pointer", "two-cat", "grin:1:R", *options)
+    assert proc.returncode in (0, 1, 2)
+    assert b"Traceback" not in proc.stderr
+    assert b"RuntimeWarning" not in proc.stderr
+    assert b"nan" not in proc.stdout.lower()
 
 
 def test_pointer_bad_descriptor_exits_two():

@@ -220,7 +220,7 @@ def test_pointer_config_validation():
     assert cfg.sigma_x == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("field", ["g", "sigma_p", "extent"])
+@pytest.mark.parametrize("field", ["g", "sigma_p"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_pointer_config_rejects_non_finite(field, value):
     settings = {"g": 1e-2, field: value}
@@ -374,8 +374,23 @@ def test_weak_value_matches_applied_state_on_random_pairs():
 
 
 # ---------------------------------------------------------------------------
-# the dense readout as a reference: eigh over all 4**n basis states and one
-# pointer branch per basis state
+# the dense grid readout as a reference: eigh over all 4**n basis states and
+# one pointer branch per basis state, sampled on a uniform grid and translated
+# in Fourier space
+
+GRID_EXTENT = 16.0
+GRID_POINTS = 512
+
+
+def grid_pointer(cfg):
+    """Grid over [-16, 16), the normalized sampled Gaussian, and the step."""
+    dx = 2.0 * GRID_EXTENT / GRID_POINTS
+    x = -GRID_EXTENT + dx * np.arange(GRID_POINTS)
+    sx = cfg.sigma_x
+    psi = (2.0 * np.pi * sx * sx) ** (-0.25) * np.exp(-(x * x) / (4.0 * sx * sx))
+    total = float(np.sum(np.abs(psi) ** 2) * dx)
+    assert abs(total - 1.0) <= 1e-10, f"grid truncates the pointer: norm {total!r}"
+    return x, psi / np.sqrt(total), dx
 
 
 def dense_pointer_shift(matrix, pair, cfg):
@@ -385,8 +400,8 @@ def dense_pointer_shift(matrix, pair, cfg):
     pre = pre / np.linalg.norm(pre)
     post = post / np.linalg.norm(post)
     weights = (vecs.conj().T @ post).conj() * (vecs.conj().T @ pre)
-    x, psi, dx = cfg.initial_pointer()
-    p = 2.0 * np.pi * np.fft.fftfreq(cfg.points, d=dx)
+    x, psi, dx = grid_pointer(cfg)
+    p = 2.0 * np.pi * np.fft.fftfreq(GRID_POINTS, d=dx)
     phases = np.exp(-1j * cfg.g * np.outer(vals, p))
     branches = np.fft.ifft(np.fft.fft(psi)[None, :] * phases, axis=1)
     phi = (weights[:, None] * branches).sum(axis=0)
