@@ -7,172 +7,65 @@ circular polarization localize in opposite arms, synthesizes post-selection
 states from target weak values, runs the two-photon interferometer that
 realizes the two-photon scenario, and simulates the weakly coupled Gaussian
 pointer that reads weak values out.
+
+Public names and submodules resolve lazily (PEP 562): `import cheshire`
+loads no submodule, and the first use of a name imports only the module that
+defines it. numpy is imported only by the functions that do dense algebra or
+sampling (and by `solver`, all of whose paths need it), so sparse work never
+loads it.
 """
 
-from .errors import (
-    AnomalousSelectionError,
-    CalibrationError,
-    CheshireError,
-    CircuitConfigError,
-    CircuitParseError,
-    DegenerateScenarioError,
-    FileParseError,
-    InfeasibleTargetsError,
-    InputError,
-    VacuousSelectionError,
-    ZeroNormError,
-)
-from .hilbert import (
-    BasisConvention,
-    Ket,
-    Operator,
-    apply,
-    basis_ket,
-    circular_sigma_z,
-    equal_up_to_phase,
-    fidelity_up_to_phase,
-    grin_observable,
-    identity_op,
-    inner,
-    ket_from_dense,
-    make_ket,
-    normalize,
-    op_add,
-    op_compose,
-    op_scale,
-    operator_from_dense,
-    path_projector,
-    superpose,
-)
-from .optics import (
-    CalibrationResult,
-    Circuit,
-    ClickRecord,
-    ExactResult,
-    beam_splitter,
-    builtin_circuit_path,
-    calibrate_postselection,
-    effective_postselection,
-    hadamard_plate,
-    hwp_action,
-    mirror,
-    parse_circuit,
-    parse_circuit_file,
-    pbs_action,
-    phase_shifter,
-    run_exact,
-    run_monte_carlo,
-    run_pre_block,
-    two_cat_device,
-)
-from .scenarios import (
-    ScenarioId,
-    build_pair,
-    expected_pattern,
-    general_two_cat,
-    n_cat,
-    post_state_indices,
-    pre_state_indices,
-    single,
-    two_cat,
-)
-from .solver import (
-    WeakValueTarget,
-    assemble,
-    delta_targets,
-    parse_problem_file,
-    parse_problem_text,
-    solve_post,
-    verify,
-)
-from .weakval import (
-    PointerConfig,
-    PrePostPair,
-    WeakValueReport,
-    observable_for,
-    observable_from_descriptor,
-    pair_from_states,
-    pointer_shift,
-    weak_value,
-    weak_value_report,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AnomalousSelectionError",
-    "BasisConvention",
-    "CalibrationError",
-    "CalibrationResult",
-    "CheshireError",
-    "Circuit",
-    "CircuitConfigError",
-    "CircuitParseError",
-    "ClickRecord",
-    "DegenerateScenarioError",
-    "ExactResult",
-    "FileParseError",
-    "InfeasibleTargetsError",
-    "InputError",
-    "Ket",
-    "Operator",
-    "PointerConfig",
-    "PrePostPair",
-    "ScenarioId",
-    "VacuousSelectionError",
-    "WeakValueReport",
-    "WeakValueTarget",
-    "ZeroNormError",
-    "apply",
-    "assemble",
-    "basis_ket",
-    "beam_splitter",
-    "build_pair",
-    "builtin_circuit_path",
-    "calibrate_postselection",
-    "circular_sigma_z",
-    "delta_targets",
-    "effective_postselection",
-    "equal_up_to_phase",
-    "expected_pattern",
-    "fidelity_up_to_phase",
-    "general_two_cat",
-    "grin_observable",
-    "hadamard_plate",
-    "hwp_action",
-    "identity_op",
-    "inner",
-    "ket_from_dense",
-    "make_ket",
-    "mirror",
-    "n_cat",
-    "normalize",
-    "observable_for",
-    "observable_from_descriptor",
-    "op_add",
-    "op_compose",
-    "op_scale",
-    "operator_from_dense",
-    "pair_from_states",
-    "parse_circuit",
-    "parse_circuit_file",
-    "parse_problem_file",
-    "parse_problem_text",
-    "path_projector",
-    "pbs_action",
-    "phase_shifter",
-    "pointer_shift",
-    "post_state_indices",
-    "pre_state_indices",
-    "run_exact",
-    "run_monte_carlo",
-    "run_pre_block",
-    "single",
-    "solve_post",
-    "superpose",
-    "two_cat",
-    "two_cat_device",
-    "verify",
-    "weak_value",
-    "weak_value_report",
-]
+# home module -> the public names it defines
+_EXPORTS = {
+    "errors": (
+        "AnomalousSelectionError", "CalibrationError", "CheshireError", "CircuitConfigError",
+        "CircuitParseError", "DegenerateScenarioError", "FileParseError",
+        "InfeasibleTargetsError", "InputError", "VacuousSelectionError", "ZeroNormError",
+    ),
+    "hilbert": (
+        "BasisConvention", "Ket", "Operator", "apply", "basis_ket", "circular_sigma_z",
+        "equal_up_to_phase", "fidelity_up_to_phase", "grin_observable", "identity_op", "inner",
+        "ket_from_dense", "make_ket", "normalize", "op_add", "op_compose", "op_scale",
+        "operator_from_dense", "path_projector", "superpose",
+    ),
+    "optics": (
+        "CalibrationResult", "Circuit", "ClickRecord", "ExactResult", "beam_splitter",
+        "builtin_circuit_path", "calibrate_postselection", "effective_postselection",
+        "hadamard_plate", "hwp_action", "mirror", "parse_circuit", "parse_circuit_file",
+        "pbs_action", "phase_shifter", "run_exact", "run_monte_carlo", "run_pre_block",
+        "two_cat_device",
+    ),
+    "scenarios": (
+        "ScenarioId", "build_pair", "expected_pattern", "general_two_cat", "n_cat",
+        "post_state_indices", "pre_state_indices", "single", "two_cat",
+    ),
+    "solver": (
+        "WeakValueTarget", "assemble", "delta_targets", "parse_problem_file",
+        "parse_problem_text", "solve_post", "verify",
+    ),
+    "weakval": (
+        "PointerConfig", "PrePostPair", "WeakValueReport", "observable_for",
+        "observable_from_descriptor", "pair_from_states", "pointer_shift", "weak_value",
+        "weak_value_report",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    # Submodules resolve too, as when this file imported them all. Any other
+    # unknown name must raise AttributeError, which `getattr(cheshire, name,
+    # default)` relies on.
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -16,17 +16,22 @@ Exit codes, stable for scripting:
 
 All commands are deterministic: identical argv, files, and seed produce
 byte-identical stdout.
+
+Each subcommand imports the modules it runs inside its own body, so a call
+loads only those. numpy is imported only by the functions that do dense
+algebra or sampling: `scenario`, `circuit --emit probs` and `circuit --emit
+conditional-state` never load it; `solve`, `pointer` and `circuit --emit
+counts` do.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import click
 
-from . import optics, scenarios, solver, weakval
 from .errors import (
     AnomalousSelectionError,
     CalibrationError,
@@ -37,6 +42,9 @@ from .errors import (
     VacuousSelectionError,
 )
 from .expr import parse_real
+
+if TYPE_CHECKING:
+    from .scenarios import ScenarioId
 
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
@@ -125,17 +133,19 @@ def _parse_params(text: str, aliases: dict[str, str]) -> dict[str, str]:
     return params
 
 
-def parse_scenario_id(text: str) -> scenarios.ScenarioId:
+def parse_scenario_id(text: str) -> ScenarioId:
     """Parse `single`, `two-cat`, `general:theta=..,phi=..`, `n-cat:n=..`.
 
     Greek spellings of the angle names are accepted; angle values are
     arithmetic expressions (pi/4, 3*pi/8, ...).
     """
+    from .scenarios import ScenarioId
+
     ident = text.strip()
     if ident == "single":
-        return scenarios.ScenarioId("single")
+        return ScenarioId("single")
     if ident in ("two-cat", "two_cat"):
-        return scenarios.ScenarioId("two_cat")
+        return ScenarioId("two_cat")
     if ident.startswith(("general:",)):
         params = _parse_params(
             ident.split(":", 1)[1],
@@ -143,7 +153,7 @@ def parse_scenario_id(text: str) -> scenarios.ScenarioId:
         )
         if "theta" not in params:
             raise InputError("general scenario needs theta=... (or θ=...)")
-        return scenarios.ScenarioId(
+        return ScenarioId(
             "general_two_cat",
             theta=parse_real(params["theta"]),
             phi=parse_real(params.get("phi", "0")),
@@ -156,7 +166,7 @@ def parse_scenario_id(text: str) -> scenarios.ScenarioId:
             n = int(params["n"])
         except ValueError:
             raise InputError(f"n must be an integer, got {params['n']!r}") from None
-        return scenarios.ScenarioId("n_cat", n=n)
+        return ScenarioId("n_cat", n=n)
     raise InputError(
         f"unknown scenario id {text!r}; "
         "expected single, two-cat, general:theta=..,phi=.., or n-cat:n=.."
@@ -189,6 +199,8 @@ def scenario(ctx: click.Context, scenario_id: str) -> None:
     """Weak-value report for SCENARIO_ID, checked against its expected pattern."""
 
     def action() -> int:
+        from . import scenarios, weakval
+
         sid = parse_scenario_id(scenario_id)
         pair = scenarios.build_pair(sid)
         report = weakval.weak_value_report(pair)
@@ -218,6 +230,8 @@ def solve(ctx: click.Context, problem_file: str) -> None:
     """Synthesize a post-selection state from the targets in PROBLEM_FILE."""
 
     def action() -> int:
+        from . import solver
+
         pre, targets = solver.parse_problem_file(problem_file)
         post = solver.solve_post(solver.assemble(pre, targets))
         residual = solver.verify(pre, post, targets)
@@ -266,13 +280,19 @@ def circuit(
     """Run the interferometer described by CIRCUIT_FILE."""
     if shots is not None and shots < 1:
         raise click.UsageError("--shots must be a positive integer")
+    if emit == "counts" and shots is None:
+        raise click.UsageError("--emit counts needs --shots")
+    if shots is not None and emit != "counts":
+        raise click.UsageError("--shots needs --emit counts")
+    if pattern is not None and emit != "conditional-state":
+        raise click.UsageError("--pattern needs --emit conditional-state")
 
     def action() -> int:
+        from . import optics
+
         circ = optics.parse_circuit_file(circuit_file)
         fmt = ctx.obj["format"]
         if emit == "counts":
-            if shots is None:
-                raise click.UsageError("--emit counts needs --shots")
             seed = seed_override if seed_override is not None else ctx.obj["seed"]
             record = optics.run_monte_carlo(circ, shots, seed)
             rows = sorted(record.counts.items())
@@ -324,6 +344,8 @@ def pointer(ctx: click.Context, scenario_id: str, descriptor: str, g_text: str, 
     """
 
     def action() -> int:
+        from . import scenarios, weakval
+
         sid = parse_scenario_id(scenario_id)
         pair = scenarios.build_pair(sid)
         obs = weakval.observable_from_descriptor(pair.convention, descriptor)

@@ -46,11 +46,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InputError, ZeroNormError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PRUNE_THRESHOLD = 1e-14
 NORM_TOL = 1e-12
@@ -170,7 +171,7 @@ class Ket:
         return self.convention == other.convention and self.amplitudes == other.amplitudes
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values())))
+        return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
 
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self.amplitudes))
@@ -182,6 +183,8 @@ class Ket:
         return self.amplitudes.get(k, 0j)
 
     def to_dense(self) -> np.ndarray:
+        import numpy as np
+
         vec = np.zeros(self.convention.dim, dtype=complex)
         for k, a in self.amplitudes.items():
             vec[k] = a
@@ -283,6 +286,8 @@ class Operator:
         if not 0 <= k < self.convention.dim:
             raise InputError(f"column index {k} out of range for dim {self.convention.dim}")
         if self.matrix is not None:
+            import numpy as np
+
             column = self.matrix[:, k]
             return {int(j): complex(column[j]) for j in np.nonzero(column)[0]}
         out: dict[int, complex] = {}
@@ -298,6 +303,8 @@ class Operator:
         Hermitian exactly when c = (-1)^popcount(x & z) conj(c) for every term.
         """
         if self.matrix is not None:
+            import numpy as np
+
             return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
         return max(
             (abs(c - (-1) ** (x & z).bit_count() * c.conjugate()) for x, z, c in self.terms),
@@ -305,6 +312,8 @@ class Operator:
         )
 
     def to_dense(self) -> np.ndarray:
+        import numpy as np
+
         dim = self.convention.dim
         if dim > _DENSE_DIM_LIMIT:
             raise InputError(f"refusing to densify a dim-{dim} operator; limit {_DENSE_DIM_LIMIT}")
@@ -467,6 +476,8 @@ def op_compose(a: Operator, b: Operator) -> Operator:
 
 
 def operator_from_dense(convention: BasisConvention, matrix: np.ndarray, name: str = "") -> Operator:
+    import numpy as np
+
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (convention.dim, convention.dim):
         raise InputError(

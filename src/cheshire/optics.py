@@ -52,9 +52,7 @@ import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from itertools import product
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import hilbert
 from .errors import (
@@ -66,6 +64,9 @@ from .errors import (
 )
 from .expr import parse_complex, parse_real
 from .hilbert import PRUNE_THRESHOLD, BasisConvention, Ket
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Config = tuple[tuple[str, str], ...]
 OpticsState = dict[Config, complex]
@@ -440,6 +441,8 @@ def run_exact(circuit: Circuit) -> ExactResult:
 
 
 def _block_counts(cum: np.ndarray, seed: int, block: int, size: int) -> np.ndarray:
+    import numpy as np
+
     rng = np.random.default_rng([seed, block])
     draws = rng.random(size)
     idx = np.searchsorted(cum, draws, side="right")
@@ -452,6 +455,8 @@ def run_monte_carlo(circuit: Circuit, shots: int, seed: int) -> ClickRecord:
         raise InputError(f"shots must be >= 1, got {shots}")
     if seed < 0:
         raise InputError(f"seed must be a nonnegative integer, got {seed}")
+    import numpy as np
+
     exact = run_exact(circuit)
     names = sorted(exact.patterns)
     probs = np.array([exact.patterns[p].probability for p in names])
@@ -551,6 +556,8 @@ class CalibrationResult:
 
 
 def _pol_block(state: OpticsState, modes: tuple[str, ...], n: int) -> np.ndarray:
+    import numpy as np
+
     block = np.zeros(2**n, dtype=complex)
     for j, pols in enumerate(product(_POLS, repeat=n)):
         block[j] = state.get(tuple(zip(modes, pols)), 0j)
@@ -572,6 +579,8 @@ def calibrate_postselection(
     the residual 1 - |<success|block|target>|. Raises the calibration error,
     carrying the best residual, if the threshold is not met.
     """
+    import numpy as np
+
     circuit.element_photon_range_ok()
     if not any(isinstance(e, BeamSplitter) and e.adjustable for e in circuit.post_elements):
         raise InputError("circuit has no adjustable beam splitter to calibrate")

@@ -35,12 +35,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import hilbert
 from .errors import AnomalousSelectionError, InputError
 from .hilbert import Ket, Operator
+
+if TYPE_CHECKING:
+    import numpy as np
 
 OVERLAP_THRESHOLD = 1e-10
 # pointer readout: Krylov residual and Hermiticity, relative to the projected scale
@@ -227,6 +229,8 @@ def _krylov_projection(obs: Operator, start: Ket) -> tuple[list[Ket], np.ndarray
     spans the whole space. The returned H[i, j] = <v_i|O|v_j> is upper
     Hessenberg; on a closed space it is all of O restricted there.
     """
+    import numpy as np
+
     basis = [start]
     columns: list[np.ndarray] = []
     scale = 0.0
@@ -265,6 +269,8 @@ def pointer_shift(obs: Operator, pair: PrePostPair, cfg: PointerConfig) -> tuple
     Hermitian on that space (relative to its largest projected entry);
     otherwise InputError is raised.
     """
+    import numpy as np
+
     ovl = pair.overlap()  # raw; divergence handling is on the selection probability
     pre = hilbert.normalize(pair.pre)
     post = hilbert.normalize(pair.post)

@@ -277,6 +277,23 @@ def test_circuit_zero_shots_rejected():
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "options,message",
+    [
+        (("--emit", "probs", "--shots", "5"), "--shots needs --emit counts"),
+        (("--emit", "conditional-state", "--shots", "5"), "--shots needs --emit counts"),
+        (("--emit", "probs", "--pattern", "D5"), "--pattern needs --emit conditional-state"),
+        (("--emit", "counts", "--shots", "5", "--pattern", "D5"), "--pattern needs --emit conditional-state"),
+    ],
+)
+def test_circuit_options_for_another_emit_rejected(tmp_path, options, message):
+    """Checked before the file is read: a missing file still exits 2, not 4."""
+    for path in (builtin(), str(tmp_path / "absent.circuit")):
+        result = run_cli("circuit", path, *options)
+        assert result.exit_code == 2
+        assert message in result.stderr
+
+
 def test_circuit_conditional_state_default_pattern():
     result = run_cli("--format", "json", "circuit", builtin(), "--emit", "conditional-state")
     assert result.exit_code == 0
@@ -444,6 +461,54 @@ def test_repeated_runs_are_byte_identical():
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout  # non-empty
+
+
+# ---------------------------------------------------------------------------
+# imports: each subcommand loads only what it runs
+
+IMPORT_PROBE = """\
+import json, sys
+from cheshire.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def probe_imports(*args):
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, *args], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "args,absent",
+    [
+        (("--help",), ("numpy", "cheshire.optics", "cheshire.solver")),
+        (("scenario", "two-cat"), ("numpy", "cheshire.optics", "cheshire.solver")),
+        (("circuit", "BUILTIN", "--emit", "probs"), ("numpy", "cheshire.solver")),
+        (("circuit", "BUILTIN", "--emit", "conditional-state"), ("numpy", "cheshire.solver")),
+    ],
+)
+def test_sparse_subcommands_load_no_numpy(args, absent):
+    result = probe_imports(*(builtin() if a == "BUILTIN" else a for a in args))
+    assert result["code"] == 0
+    assert not set(absent) & set(result["modules"])
+
+
+def test_numpy_subcommands_still_run(tmp_path):
+    problem = tmp_path / "good.problem"
+    problem.write_text(GOOD_PROBLEM)
+    for args in (
+        ("solve", str(problem)),
+        ("pointer", "two-cat", "grin:1:R"),
+        ("circuit", builtin(), "--emit", "counts", "--shots", "100"),
+    ):
+        assert probe_imports(*args)["code"] == 0, args
 
 
 # ---------------------------------------------------------------------------
