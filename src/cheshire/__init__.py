@@ -27,25 +27,23 @@ _EXPORTS = {
         "InfeasibleTargetsError", "InputError", "VacuousSelectionError", "ZeroNormError",
     ),
     "hilbert": (
-        "BasisConvention", "Ket", "Operator", "apply", "basis_ket", "circular_sigma_z",
-        "equal_up_to_phase", "fidelity_up_to_phase", "grin_observable", "identity_op", "inner",
-        "ket_from_dense", "make_ket", "normalize", "op_add", "op_compose", "op_scale",
-        "operator_from_dense", "path_projector", "superpose",
+        "BasisConvention", "Ket", "Operator", "apply", "circular_sigma_z",
+        "fidelity_up_to_phase", "grin_observable", "identity_op", "inner", "ket_from_dense",
+        "make_ket", "normalize", "op_add", "op_compose", "op_scale", "operator_from_dense",
+        "path_projector", "superpose",
     ),
     "optics": (
-        "CalibrationResult", "Circuit", "ClickRecord", "ExactResult", "beam_splitter",
-        "builtin_circuit_path", "calibrate_postselection", "effective_postselection",
-        "hadamard_plate", "hwp_action", "mirror", "parse_circuit", "parse_circuit_file",
-        "pbs_action", "phase_shifter", "run_exact", "run_monte_carlo", "run_pre_block",
-        "two_cat_device",
+        "CalibrationResult", "Circuit", "ClickRecord", "ExactResult", "builtin_circuit_path",
+        "calibrate_postselection", "effective_postselection", "parse_circuit",
+        "parse_circuit_file", "run_exact", "run_monte_carlo", "run_pre_block", "two_cat_device",
     ),
     "scenarios": (
         "ScenarioId", "build_pair", "expected_pattern", "general_two_cat", "n_cat",
         "post_state_indices", "pre_state_indices", "single", "two_cat",
     ),
     "solver": (
-        "WeakValueTarget", "assemble", "delta_targets", "parse_problem_file",
-        "parse_problem_text", "solve_post", "verify",
+        "WeakValueTarget", "assemble", "parse_problem_file", "parse_problem_text",
+        "solve_post", "verify",
     ),
     "weakval": (
         "PointerConfig", "PrePostPair", "WeakValueReport", "observable_for",

@@ -286,6 +286,8 @@ def circuit(
         raise click.UsageError("--shots needs --emit counts")
     if pattern is not None and emit != "conditional-state":
         raise click.UsageError("--pattern needs --emit conditional-state")
+    if seed_override is not None and emit != "counts":
+        raise click.UsageError("--seed needs --emit counts")
 
     def action() -> int:
         from . import optics

@@ -55,6 +55,8 @@ if TYPE_CHECKING:
 
 PRUNE_THRESHOLD = 1e-14
 NORM_TOL = 1e-12
+# largest hermitian_defect() an observable may have (targets, pointer couplings)
+HERMITIAN_TOL = 1e-12
 
 _PATH_CHARS = {"0": 0, "1": 1, "L": 0, "R": 1}
 _POL_CHARS = {"0": 0, "1": 1, "H": 0, "V": 1}
@@ -207,11 +209,6 @@ def make_ket(convention: BasisConvention, amplitudes: dict[int, complex]) -> Ket
     return Ket(convention, amps, abs(total - 1.0) <= NORM_TOL)
 
 
-def basis_ket(convention: BasisConvention, label: str) -> Ket:
-    """Unit amplitude on one basis state, named by either label form."""
-    return make_ket(convention, {convention.index_of_label(label): 1.0 + 0j})
-
-
 def ket_from_dense(convention: BasisConvention, vec: np.ndarray) -> Ket:
     if len(vec) != convention.dim:
         raise InputError(f"dense vector has length {len(vec)}, expected {convention.dim}")
@@ -255,10 +252,6 @@ def fidelity_up_to_phase(a: Ket, b: Ket) -> float:
     if na == 0.0 or nb == 0.0:
         raise ZeroNormError("fidelity with the zero vector is undefined")
     return abs(inner(a, b)) / (na * nb)
-
-
-def equal_up_to_phase(a: Ket, b: Ket, tol: float = 1e-12) -> bool:
-    return fidelity_up_to_phase(a, b) >= 1.0 - tol
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,20 +2,22 @@
 
 States are sparse maps from a configuration, one (mode, polarization) pair
 per photon, to a complex amplitude. Spatial modes are free-form identifiers
-(L, R, w1, ...); polarization is H or V. Elements act unitarily on their
-addressed subspace:
+(L, R, w1, ...); polarization is H or V. Three element classes act
+unitarily on their addressed subspace:
 
-* PBS on ports (a, b): H stays on its port, V swaps ports (self-inverse).
-* HWP on one arm: swaps H and V there.
-* Hadamard plate on one arm: (1/sqrt 2)[[1, 1], [1, -1]] on polarization.
-* Phase shifter on one arm: multiplies amplitudes by e^{i phase}.
-* Mirror: identity relabeling, no phase.
-* Beam splitter on a pair of joint path configurations (one mode per
-  photon): the 2x2 unitary [[t, -conj(r)], [r, conj(t)]] applied identically
-  across polarization blocks, with |t|^2 + |r|^2 = 1. The 50:50 symmetric
-  convention is t = 1/sqrt(2), r = i/sqrt(2). Output ports may relabel the
-  modes. "Adjusting" a splitter means choosing (t, r); splitters marked
-  adjustable are the ones `calibrate_postselection` retunes.
+* `Pbs` on ports (a, b): H stays on its port, V swaps ports (self-inverse).
+* `Plate` on one photon's arm: a 2x2 Jones matrix on its polarization,
+  matrix[row][col] taking polarization col to row (H = 0, V = 1); other
+  arms pass unchanged. The file's `hwp` swaps H and V, `hadamard` is
+  (1/sqrt 2)[[1, 1], [1, -1]], `phase shift=phi` is e^{i phi} times the
+  identity and `mirror` is the identity.
+* `BeamSplitter` on a pair of joint path configurations (one mode per
+  photon): the 2x2 unitary [[t, -conj(r)], [r, conj(t)]] applied
+  identically across polarization blocks, with |t|^2 + |r|^2 = 1. The 50:50
+  symmetric convention is t = 1/sqrt(2), r = i/sqrt(2). Output ports may
+  relabel the modes. "Adjusting" a splitter means choosing (t, r);
+  splitters marked adjustable are the ones `calibrate_postselection`
+  retunes.
 
 Circuit description file, one directive per line ('#' starts a comment):
 
@@ -81,44 +83,39 @@ _BLOCK = 4096
 
 @dataclass(frozen=True)
 class Pbs:
+    """Polarizing splitter: H transmits (stays on its port), V reflects (swaps)."""
+
     photon: int
     ports: tuple[str, str]
 
 
 @dataclass(frozen=True)
-class Hwp:
+class Plate:
+    """Jones matrix on one photon's polarization in one arm (Jones, JOSA 31, 488, 1941)."""
+
     photon: int
     arm: str
+    matrix: tuple[tuple[complex, complex], tuple[complex, complex]]
 
-
-@dataclass(frozen=True)
-class HadamardPlate:
-    photon: int
-    arm: str
-
-
-@dataclass(frozen=True)
-class PhaseShifter:
-    photon: int
-    arm: str
-    phase: float
-
-
-@dataclass(frozen=True)
-class Mirror:
-    photon: int
-    arm: str
+    def __post_init__(self):
+        (a, b), (c, d) = self.matrix
+        defect = max(abs(abs(a) ** 2 + abs(c) ** 2 - 1), abs(abs(b) ** 2 + abs(d) ** 2 - 1),
+                     abs(a.conjugate() * b + c.conjugate() * d))
+        if defect > 1e-12:
+            raise InputError(f"plate on arm {self.arm!r}: matrix {self.matrix} is not unitary")
 
 
 @dataclass(frozen=True)
 class BeamSplitter:
-    name: str
+    """Two-port splitter on joint path configurations (one mode per photon)."""
+
     in_a: tuple[str, ...]
     in_b: tuple[str, ...]
     out_a: tuple[str, ...]
     out_b: tuple[str, ...]
     t: complex
     r: complex
+    name: str = ""
     adjustable: bool = False
 
     def __post_init__(self):
@@ -131,54 +128,15 @@ class BeamSplitter:
             raise InputError(f"beam splitter {self.name!r} needs two distinct port configurations")
 
 
-Element = Pbs | Hwp | HadamardPlate | PhaseShifter | Mirror | BeamSplitter
+Element = Pbs | Plate | BeamSplitter
 
-
-def pbs_action(photon: int, ports: tuple[str, str] = ("L", "R")) -> Pbs:
-    """Polarizing splitter: H transmits (stays on its port), V reflects (swaps)."""
-    return Pbs(photon, tuple(ports))
-
-
-def hwp_action(photon: int, arm: str) -> Hwp:
-    """Half-wave plate: H <-> V on the addressed arm only."""
-    return Hwp(photon, arm)
-
-
-def hadamard_plate(photon: int, arm: str) -> HadamardPlate:
-    return HadamardPlate(photon, arm)
-
-
-def phase_shifter(photon: int, arm: str, phase: float) -> PhaseShifter:
-    return PhaseShifter(photon, arm, float(phase))
-
-
-def mirror(photon: int, arm: str) -> Mirror:
-    return Mirror(photon, arm)
-
-
-def beam_splitter(
-    in_a: Sequence[str],
-    in_b: Sequence[str],
-    t: complex,
-    r: complex,
-    out_a: Sequence[str] | None = None,
-    out_b: Sequence[str] | None = None,
-    name: str = "",
-    adjustable: bool = False,
-) -> BeamSplitter:
-    """Two-port splitter on joint path configurations (one mode per photon)."""
-    in_a = tuple(in_a)
-    in_b = tuple(in_b)
-    return BeamSplitter(
-        name,
-        in_a,
-        in_b,
-        tuple(out_a) if out_a is not None else in_a,
-        tuple(out_b) if out_b is not None else in_b,
-        complex(t),
-        complex(r),
-        adjustable,
-    )
+_INV_SQRT2 = 1 / math.sqrt(2)
+# constant plates of the circuit file; `phase` builds its matrix from shift=
+_PLATES = {
+    "hwp": ((0.0, 1.0), (1.0, 0.0)),
+    "hadamard": ((_INV_SQRT2, _INV_SQRT2), (_INV_SQRT2, -_INV_SQRT2)),
+    "mirror": ((1.0, 0.0), (0.0, 1.0)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +163,8 @@ class Circuit:
     detectors: dict[tuple[int, str, str], str]
     postselect_on: str
 
-    def element_photon_range_ok(self) -> None:
+    def __post_init__(self):
+        """Every element must address photons 1..n_photons, so a bad circuit cannot be built."""
         for el in self.pre_elements + self.post_elements:
             if isinstance(el, BeamSplitter):
                 for cfg in (el.in_a, el.in_b, el.out_a, el.out_b):
@@ -263,44 +222,31 @@ def apply_element(state: OpticsState, element: Element) -> OpticsState:
                     )
             out[cfg_a] = out.get(cfg_a, 0j) + t * a_in - r.conjugate() * b_in
             out[cfg_b] = out.get(cfg_b, 0j) + r * a_in + t.conjugate() * b_in
-        return {c: a for c, a in out.items() if abs(a) >= PRUNE_THRESHOLD}
-
-    i = element.photon - 1
-    for config, amp in state.items():
-        mode, pol = config[i]
-        if isinstance(element, Pbs):
-            a, b = element.ports
+    elif isinstance(element, Pbs):
+        i = element.photon - 1
+        a, b = element.ports
+        for config, amp in state.items():
+            mode, pol = config[i]
             if pol == "V" and mode == a:
                 config = config[:i] + ((b, pol),) + config[i + 1 :]
             elif pol == "V" and mode == b:
                 config = config[:i] + ((a, pol),) + config[i + 1 :]
             out[config] = out.get(config, 0j) + amp
-        elif isinstance(element, Hwp):
-            if mode == element.arm:
-                flipped = "V" if pol == "H" else "H"
-                config = config[:i] + ((mode, flipped),) + config[i + 1 :]
-            out[config] = out.get(config, 0j) + amp
-        elif isinstance(element, HadamardPlate):
-            if mode == element.arm:
-                inv = 1 / math.sqrt(2)
-                cfg_h = config[:i] + ((mode, "H"),) + config[i + 1 :]
-                cfg_v = config[:i] + ((mode, "V"),) + config[i + 1 :]
-                if pol == "H":
-                    out[cfg_h] = out.get(cfg_h, 0j) + inv * amp
-                    out[cfg_v] = out.get(cfg_v, 0j) + inv * amp
-                else:
-                    out[cfg_h] = out.get(cfg_h, 0j) + inv * amp
-                    out[cfg_v] = out.get(cfg_v, 0j) - inv * amp
-            else:
+    elif isinstance(element, Plate):
+        i = element.photon - 1
+        rows = tuple(zip(_POLS, element.matrix))
+        for config, amp in state.items():
+            mode, pol = config[i]
+            if mode != element.arm:
                 out[config] = out.get(config, 0j) + amp
-        elif isinstance(element, PhaseShifter):
-            if mode == element.arm:
-                amp = amp * complex(math.cos(element.phase), math.sin(element.phase))
-            out[config] = out.get(config, 0j) + amp
-        elif isinstance(element, Mirror):
-            out[config] = out.get(config, 0j) + amp
-        else:
-            raise InputError(f"unknown element {element!r}")
+                continue
+            col = 0 if pol == "H" else 1
+            for row_pol, row in rows:
+                if row[col]:
+                    cfg = config if row_pol == pol else config[:i] + ((mode, row_pol),) + config[i + 1 :]
+                    out[cfg] = out.get(cfg, 0j) + row[col] * amp
+    else:
+        raise InputError(f"unknown element {element!r}")
     return {c: a for c, a in out.items() if abs(a) >= PRUNE_THRESHOLD}
 
 
@@ -312,21 +258,23 @@ def propagate(state: OpticsState, elements: Iterable[Element]) -> OpticsState:
 
 def _adjoint(element: Element) -> Element:
     """Element whose action is the inverse of the given one."""
-    if isinstance(element, PhaseShifter):
-        return PhaseShifter(element.photon, element.arm, -element.phase)
+    if isinstance(element, Plate):
+        (a, b), (c, d) = element.matrix
+        dagger = ((a.conjugate(), c.conjugate()), (b.conjugate(), d.conjugate()))
+        # hwp, hadamard and mirror plates are Hermitian, hence their own inverse
+        return element if dagger == element.matrix else Plate(element.photon, element.arm, dagger)
     if isinstance(element, BeamSplitter):
         return BeamSplitter(
-            element.name + "^-1",
             element.out_a,
             element.out_b,
             element.in_a,
             element.in_b,
             element.t.conjugate(),
             -element.r,
+            element.name + "^-1",
             element.adjustable,
         )
-    # PBS, HWP, Hadamard plate, mirror are self-inverse
-    return element
+    return element  # a PBS is self-inverse
 
 
 def state_to_ket(state: OpticsState, n_photons: int) -> Ket:
@@ -359,7 +307,6 @@ def ket_to_state(ket: Ket) -> OpticsState:
 
 def run_pre_block(circuit: Circuit) -> Ket:
     """Source through the pre-selection block, as a labeled-basis ket."""
-    circuit.element_photon_range_ok()
     state = propagate(_initial_state(circuit), circuit.pre_elements)
     return state_to_ket(state, circuit.n_photons)
 
@@ -412,7 +359,6 @@ class ClickRecord:
 
 def run_exact(circuit: Circuit) -> ExactResult:
     """Propagate exactly and group the final state by coincidence pattern."""
-    circuit.element_photon_range_ok()
     state = propagate(_initial_state(circuit), circuit.pre_elements)
     state = propagate(state, circuit.post_elements)
     grouped: dict[str, OpticsState] = {}
@@ -581,7 +527,6 @@ def calibrate_postselection(
     """
     import numpy as np
 
-    circuit.element_photon_range_ok()
     if not any(isinstance(e, BeamSplitter) and e.adjustable for e in circuit.post_elements):
         raise InputError("circuit has no adjustable beam splitter to calibrate")
     succ = _success_config(circuit)
@@ -725,33 +670,29 @@ def parse_circuit(text: str) -> Circuit:
             try:
                 if kind == "pbs":
                     ports = _modes_tuple(_need(kv, "ports", line_no), 2, line_no)
-                    el: Element = pbs_action(int(_need(kv, "photon", line_no)), ports)
-                elif kind == "hwp":
-                    el = hwp_action(int(_need(kv, "photon", line_no)), _need(kv, "arm", line_no))
-                elif kind == "hadamard":
-                    el = hadamard_plate(int(_need(kv, "photon", line_no)), _need(kv, "arm", line_no))
-                elif kind == "phase":
-                    el = phase_shifter(
-                        int(_need(kv, "photon", line_no)),
-                        _need(kv, "arm", line_no),
-                        parse_real(_need(kv, "shift", line_no)),
-                    )
-                elif kind == "mirror":
-                    el = mirror(int(_need(kv, "photon", line_no)), _need(kv, "arm", line_no))
+                    el: Element = Pbs(int(_need(kv, "photon", line_no)), ports)
+                elif kind in _PLATES or kind == "phase":
+                    photon, arm = int(_need(kv, "photon", line_no)), _need(kv, "arm", line_no)
+                    if kind == "phase":
+                        shift = parse_real(_need(kv, "shift", line_no))
+                        e = complex(math.cos(shift), math.sin(shift))
+                        el = Plate(photon, arm, ((e, 0j), (0j, e)))
+                    else:
+                        el = Plate(photon, arm, _PLATES[kind])
                 elif kind == "bs":
                     in_a = _modes_tuple(_need(kv, "in_a", line_no), n_photons, line_no)
                     in_b = _modes_tuple(_need(kv, "in_b", line_no), n_photons, line_no)
                     out_a = _modes_tuple(kv["out_a"], n_photons, line_no) if "out_a" in kv else in_a
                     out_b = _modes_tuple(kv["out_b"], n_photons, line_no) if "out_b" in kv else in_b
-                    el = beam_splitter(
+                    el = BeamSplitter(
                         in_a,
                         in_b,
-                        parse_complex(_need(kv, "t", line_no)),
-                        parse_complex(_need(kv, "r", line_no)),
                         out_a,
                         out_b,
-                        name=kv.get("name", ""),
-                        adjustable="adjustable" in flags,
+                        parse_complex(_need(kv, "t", line_no)),
+                        parse_complex(_need(kv, "r", line_no)),
+                        kv.get("name", ""),
+                        "adjustable" in flags,
                     )
                 else:
                     raise CircuitParseError(f"unknown element kind {kind!r}", line_no)
@@ -805,9 +746,7 @@ def parse_circuit(text: str) -> Circuit:
         )
     if not seen_marker:
         post, pre = pre, post  # no marker: everything is post-selection side
-    circuit = Circuit(n_photons, source, tuple(pre), tuple(post), detectors, postselect_on)
-    circuit.element_photon_range_ok()
-    return circuit
+    return Circuit(n_photons, source, tuple(pre), tuple(post), detectors, postselect_on)
 
 
 def parse_circuit_file(path) -> Circuit:

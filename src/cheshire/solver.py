@@ -48,7 +48,6 @@ from .expr import parse_real
 from .hilbert import Ket, Operator
 
 _RANK_CUTOFF_REL = 1e-10
-_HERMITIAN_TOL = 1e-12
 _SUPPORT_REL = 1e-12
 
 
@@ -65,7 +64,7 @@ class WeakValueTarget:
     target: complex
 
     def __post_init__(self):
-        if self.observable.hermitian_defect() > _HERMITIAN_TOL:
+        if self.observable.hermitian_defect() > hilbert.HERMITIAN_TOL:
             raise InputError("target observable is not Hermitian within 1e-12")
 
 
@@ -264,17 +263,3 @@ def parse_problem_text(text: str) -> tuple[Ket, list[WeakValueTarget]]:
 def parse_problem_file(path) -> tuple[Ket, list[WeakValueTarget]]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_problem_text(fh.read())
-
-
-def delta_targets(convention: hilbert.BasisConvention) -> list[WeakValueTarget]:
-    """The 4n path/grin delta targets (odd photons path-left/grin-right)."""
-    from . import scenarios
-
-    sid = scenarios.ScenarioId("n_cat", n=convention.n_photons) if convention.n_photons >= 2 \
-        else scenarios.ScenarioId("single")
-    pattern = scenarios.expected_pattern(sid)
-    targets = []
-    for (kind, photon, arm), value in pattern.items():
-        obs = weakval.observable_for(convention, kind, photon, arm)
-        targets.append(WeakValueTarget(obs, complex(value)))
-    return targets

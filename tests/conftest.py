@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+import cheshire as ch
 from cheshire import BasisConvention, Ket, make_ket
 
 # child interpreters (the CLI tests that spawn `python -m cheshire.cli`) import
@@ -72,3 +73,22 @@ def random_ket(rng: np.random.Generator, n: int) -> Ket:
     vec = rng.standard_normal(conv.dim) + 1j * rng.standard_normal(conv.dim)
     vec = vec / np.linalg.norm(vec)
     return make_ket(conv, {k: complex(v) for k, v in enumerate(vec)})
+
+
+def basis_ket(convention: BasisConvention, label: str) -> Ket:
+    """Unit amplitude on one basis state, named by either label form."""
+    return make_ket(convention, {convention.index_of_label(label): 1.0 + 0j})
+
+
+def equal_up_to_phase(a: Ket, b: Ket, tol: float = 1e-12) -> bool:
+    return ch.fidelity_up_to_phase(a, b) >= 1.0 - tol
+
+
+def delta_targets(convention: BasisConvention) -> list:
+    """The 4n path/grin delta targets (odd photons path-left/grin-right)."""
+    n = convention.n_photons
+    sid = ch.ScenarioId("n_cat", n=n) if n >= 2 else ch.ScenarioId("single")
+    return [
+        ch.WeakValueTarget(ch.observable_for(convention, kind, photon, arm), complex(value))
+        for (kind, photon, arm), value in ch.expected_pattern(sid).items()
+    ]

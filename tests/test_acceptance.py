@@ -13,7 +13,7 @@ import numpy as np
 
 import cheshire as ch
 from cheshire import optics
-from conftest import random_ket
+from conftest import equal_up_to_phase, random_ket
 
 SQ2 = math.sqrt(2)
 
@@ -134,7 +134,7 @@ def test_criterion_05_explicit_kets():
         conv = pair.convention
         for got, want_amps in ((pair.pre, pre_amps), (pair.post, post_amps)):
             want = ch.make_ket(conv, want_amps)
-            assert ch.equal_up_to_phase(got, want), n
+            assert equal_up_to_phase(got, want), n
             worst = max(worst, 1.0 - ch.fidelity_up_to_phase(got, want))
     print(f"criterion 5: PASS (n=2..5 explicit kets, worst infidelity {worst:.3e})")
 

@@ -284,6 +284,8 @@ def test_circuit_zero_shots_rejected():
         (("--emit", "conditional-state", "--shots", "5"), "--shots needs --emit counts"),
         (("--emit", "probs", "--pattern", "D5"), "--pattern needs --emit conditional-state"),
         (("--emit", "counts", "--shots", "5", "--pattern", "D5"), "--pattern needs --emit conditional-state"),
+        (("--seed", "5"), "--seed needs --emit counts"),
+        (("--emit", "conditional-state", "--seed", "5"), "--seed needs --emit counts"),
     ],
 )
 def test_circuit_options_for_another_emit_rejected(tmp_path, options, message):

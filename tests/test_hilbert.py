@@ -14,9 +14,11 @@ import cheshire as ch
 from cheshire import hilbert
 from cheshire.errors import InputError, ZeroNormError
 from conftest import (
+    basis_ket,
     dense_grin,
     dense_path_projector,
     dense_sigma,
+    equal_up_to_phase,
     ket_vec,
     kron_chain,
     random_ket,
@@ -108,8 +110,8 @@ def test_amplitude_accepts_labels_and_indices():
 
 
 def test_superpose_and_normalize():
-    a = ch.basis_ket(C1, "00")
-    b = ch.basis_ket(C1, "10")
+    a = basis_ket(C1, "00")
+    b = basis_ket(C1, "10")
     s = ch.superpose([(1j, a), (1.0, b)])
     assert s.norm() == pytest.approx(math.sqrt(2))
     n = ch.normalize(s)
@@ -118,7 +120,7 @@ def test_superpose_and_normalize():
 
 
 def test_superpose_cancels_support():
-    a = ch.basis_ket(C1, "00")
+    a = basis_ket(C1, "00")
     s = ch.superpose([(1.0, a), (-1.0, a)])
     assert s.support() == ()
     with pytest.raises(ZeroNormError):
@@ -127,7 +129,7 @@ def test_superpose_cancels_support():
 
 def test_superpose_rejects_mixed_conventions():
     with pytest.raises(InputError):
-        ch.superpose([(1.0, ch.basis_ket(C1, "00")), (1.0, ch.basis_ket(C2, "0000"))])
+        ch.superpose([(1.0, basis_ket(C1, "00")), (1.0, basis_ket(C2, "0000"))])
 
 
 def test_inner_conjugate_symmetry():
@@ -151,9 +153,9 @@ def test_fidelity_and_phase_equality():
     state = random_ket(rng, 2)
     rotated = ch.superpose([(complex(np.exp(0.7j)), state)])
     assert ch.fidelity_up_to_phase(state, rotated) == pytest.approx(1.0)
-    assert ch.equal_up_to_phase(state, rotated)
+    assert equal_up_to_phase(state, rotated)
     other = random_ket(rng, 2)
-    assert not ch.equal_up_to_phase(state, other)
+    assert not equal_up_to_phase(state, other)
 
 
 def test_ket_dense_roundtrip():
@@ -218,8 +220,8 @@ def test_large_n_sampled_columns(n):
 def test_sigma_frozen_action():
     """Circular-basis sigma on linear polarization: H -> iV, V -> -iH."""
     sigma = ch.circular_sigma_z(C1, 1)
-    h = ch.basis_ket(C1, "00")
-    v = ch.basis_ket(C1, "01")
+    h = basis_ket(C1, "00")
+    v = basis_ket(C1, "01")
     assert ch.apply(sigma, h) == ch.make_ket(C1, {1: 1j})
     assert ch.apply(sigma, v) == ch.make_ket(C1, {0: -1j})
 
@@ -449,7 +451,7 @@ def test_matrix_element_of_dense_operator():
 
 
 def test_matrix_element_rejects_mixed_conventions():
-    one, two = ch.basis_ket(C1, "00"), ch.basis_ket(C2, "0000")
+    one, two = basis_ket(C1, "00"), basis_ket(C2, "0000")
     op1, op2 = ch.identity_op(C1), ch.identity_op(C2)
     for bra, op, ket in ((one, op2, two), (two, op1, two), (two, op2, one), (one, op1, two)):
         with pytest.raises(InputError, match="mixed conventions"):

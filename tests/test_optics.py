@@ -22,7 +22,7 @@ from cheshire.errors import (
     CircuitParseError,
     InputError,
 )
-from conftest import random_ket
+from conftest import basis_ket, equal_up_to_phase, random_ket
 
 SQ2 = math.sqrt(2)
 C2 = ch.BasisConvention(2)
@@ -36,6 +36,16 @@ FROZEN_PROBS = {
 }
 
 
+HWP = ((0, 1), (1, 0))
+HADAMARD = ((1 / SQ2, 1 / SQ2), (1 / SQ2, -1 / SQ2))
+IDENTITY = ((1, 0), (0, 1))
+
+
+def phase_matrix(shift: float) -> tuple:
+    e = complex(math.cos(shift), math.sin(shift))
+    return ((e, 0j), (0j, e))
+
+
 def toy_circuit(text: str) -> ch.Circuit:
     return optics.parse_circuit(text)
 
@@ -45,7 +55,7 @@ def toy_circuit(text: str) -> ch.Circuit:
 
 
 def test_pbs_routes_and_is_self_inverse():
-    pbs = ch.pbs_action(1, ("L", "R"))
+    pbs = optics.Pbs(1, ("L", "R"))
     state = {(("L", "H"),): 0.6 + 0j, (("L", "V"),): 0.8j}
     once = optics.apply_element(state, pbs)
     assert once == {(("L", "H"),): 0.6 + 0j, (("R", "V"),): 0.8j}
@@ -54,14 +64,14 @@ def test_pbs_routes_and_is_self_inverse():
 
 
 def test_hwp_swaps_polarization_on_its_arm_only():
-    hwp = ch.hwp_action(1, "R")
+    hwp = optics.Plate(1, "R", HWP)
     state = {(("L", "H"),): 0.5 + 0j, (("R", "H"),): 0.5 + 0j, (("R", "V"),): 0.5j}
     out = optics.apply_element(state, hwp)
     assert out == {(("L", "H"),): 0.5 + 0j, (("R", "V"),): 0.5 + 0j, (("R", "H"),): 0.5j}
 
 
 def test_hadamard_plate_action_and_self_inverse():
-    had = ch.hadamard_plate(1, "L")
+    had = optics.Plate(1, "L", HADAMARD)
     h_in = {(("L", "H"),): 1.0 + 0j}
     out = optics.apply_element(h_in, had)
     assert out[(("L", "H"),)] == pytest.approx(1 / SQ2)
@@ -72,7 +82,7 @@ def test_hadamard_plate_action_and_self_inverse():
 
 
 def test_phase_shifter_on_arm_only():
-    ps = ch.phase_shifter(1, "L", math.pi / 2)
+    ps = optics.Plate(1, "L", phase_matrix(math.pi / 2))
     state = {(("L", "H"),): 1 / SQ2 + 0j, (("R", "H"),): 1 / SQ2 + 0j}
     out = optics.apply_element(state, ps)
     assert out[(("L", "H"),)] == pytest.approx(1j / SQ2)
@@ -81,7 +91,7 @@ def test_phase_shifter_on_arm_only():
 
 def test_balanced_bs_convention():
     """50:50 with t=1/sqrt2, r=i/sqrt2: |a> -> (|a> + i|b>)/sqrt2."""
-    bs = ch.beam_splitter(("L",), ("R",), t=1 / SQ2, r=1j / SQ2)
+    bs = optics.BeamSplitter(("L",), ("R",), ("L",), ("R",), t=1 / SQ2, r=1j / SQ2)
     out = optics.apply_element({(("L", "H"),): 1.0 + 0j}, bs)
     assert out[(("L", "H"),)] == pytest.approx(1 / SQ2)
     assert out[(("R", "H"),)] == pytest.approx(1j / SQ2)
@@ -92,14 +102,14 @@ def test_balanced_bs_convention():
 
 def test_bs_rejects_non_unitary_parameters():
     with pytest.raises(InputError):
-        ch.beam_splitter(("L",), ("R",), t=1.0, r=1.0)
+        optics.BeamSplitter(("L",), ("R",), ("L",), ("R",), t=1.0, r=1.0)
 
 
 def test_tuned_bs_routes_superposition_to_one_port():
     """The tuned splitter sends -i|LR> + 2|RL> (unnormalized) out one port."""
     s5 = math.sqrt(5)
-    bs = ch.beam_splitter(
-        ("L", "R"), ("R", "L"), t=-1j / s5, r=2 / s5, out_b=("y1", "y2")
+    bs = optics.BeamSplitter(
+        ("L", "R"), ("R", "L"), ("L", "R"), ("y1", "y2"), t=-1j / s5, r=2 / s5
     )
     state = {
         (("L", "H"), ("R", "H")): -1j / s5,
@@ -113,8 +123,8 @@ def test_tuned_bs_routes_superposition_to_one_port():
 def test_tuned_bs_orthogonal_input_exits_other_port():
     """Unitarity: the orthogonal combination -conj(b)|a> + conj(a)|b> takes the other exit."""
     s5 = math.sqrt(5)
-    bs = ch.beam_splitter(
-        ("L", "R"), ("R", "L"), t=-1j / s5, r=2 / s5, out_b=("y1", "y2")
+    bs = optics.BeamSplitter(
+        ("L", "R"), ("R", "L"), ("L", "R"), ("y1", "y2"), t=-1j / s5, r=2 / s5
     )
     state = {
         (("L", "H"), ("R", "H")): -2 / s5,
@@ -127,12 +137,48 @@ def test_tuned_bs_orthogonal_input_exits_other_port():
 
 def test_mirror_is_identity():
     state = {(("L", "H"),): 1j}
-    assert optics.apply_element(state, ch.mirror(1, "L")) == state
+    assert optics.apply_element(state, optics.Plate(1, "L", IDENTITY)) == state
+
+
+def test_plate_rejects_non_unitary_matrix():
+    with pytest.raises(InputError):
+        optics.Plate(1, "L", ((1, 1), (0, 1)))
+
+
+@pytest.mark.parametrize(
+    "directive,matrix",
+    [
+        ("hwp", HWP),
+        ("hadamard", HADAMARD),
+        ("phase shift=pi/3", phase_matrix(math.pi / 3)),
+        ("mirror", IDENTITY),
+    ],
+)
+def test_one_arm_directives_parse_to_plates(directive, matrix):
+    kind, *extra = directive.split()
+    circ = toy_circuit(
+        f"photons 1\nsource ket path=L pol=H\nelement {kind} photon=1 arm=L {' '.join(extra)}\n"
+        "detector D1 photon=1 mode=L pol=H\ndetector D1 photon=1 mode=L pol=V\npostselect-on D1\n"
+    )
+    assert circ.post_elements == (optics.Plate(1, "L", matrix),)
+
+
+def test_adjoint_of_phase_plate_is_the_opposite_shift():
+    plate = optics.Plate(2, "L", phase_matrix(0.7))
+    assert optics._adjoint(plate) == optics.Plate(2, "L", phase_matrix(-0.7))
+
+
+def test_circuit_with_missing_photon_fails_at_construction():
+    with pytest.raises(CircuitConfigError):
+        optics.Circuit(
+            1, optics.KetSource(("L",), ("H",)), (), (optics.Plate(2, "L", HWP),),
+            {(1, "L", "H"): "D1"}, "D1",
+        )
 
 
 def test_mode_collision_detected():
     """A splitter output landing on an occupied pass-through mode breaks unitarity."""
-    bs = ch.beam_splitter(("L",), ("x",), t=1.0, r=0.0, out_a=("R",), out_b=("x",))
+    bs = optics.BeamSplitter(("L",), ("x",), ("R",), ("x",), t=1.0, r=0.0)
     state = {(("L", "H"),): 1 / SQ2 + 0j, (("R", "H"),): 1 / SQ2 + 0j}
     with pytest.raises(CircuitConfigError):
         optics.propagate(state, [bs])
@@ -140,7 +186,7 @@ def test_mode_collision_detected():
 
 def test_phase_orthogonal_mode_collision_detected():
     """A collision that happens to keep the norm (amplitudes 90 degrees apart) still fails."""
-    bs = ch.beam_splitter(("A", "A"), ("C", "C"), 1, 0, out_a=("B", "B"))
+    bs = optics.BeamSplitter(("A", "A"), ("C", "C"), ("B", "B"), ("C", "C"), 1, 0)
     state = {
         (("A", "H"), ("A", "H")): 1 / SQ2 + 0j,
         (("B", "H"), ("B", "H")): 1j / SQ2,
@@ -153,7 +199,7 @@ def test_state_ket_roundtrip():
     rng = np.random.default_rng(41)
     ket = random_ket(rng, 2)
     again = optics.state_to_ket(optics.ket_to_state(ket), 2)
-    assert ch.equal_up_to_phase(again, ket)
+    assert equal_up_to_phase(again, ket)
     assert again.amplitudes == pytest.approx(ket.amplitudes)
 
 
@@ -356,7 +402,7 @@ def test_toy_calibration_matches_tuned_example():
 def test_toy_identity_calibration():
     """A target already sitting on the kept port calibrates to t=1, r=0."""
     circ = toy_circuit(TOY_BS)
-    target = ch.basis_ket(C2, "0100")  # photon 1 on L, photon 2 on R, both H
+    target = basis_ket(C2, "0100")  # photon 1 on L, photon 2 on R, both H
     result = ch.calibrate_postselection(circ, target)
     t, r = result.settings["only"]
     assert t == pytest.approx(1.0, abs=1e-12)
@@ -380,7 +426,7 @@ detector D1 photon=1 mode=L pol=H
 postselect-on D1
 """
     with pytest.raises(InputError):
-        ch.calibrate_postselection(toy_circuit(text), ch.basis_ket(ch.BasisConvention(1), "00"))
+        ch.calibrate_postselection(toy_circuit(text), basis_ket(ch.BasisConvention(1), "00"))
 
 
 # ---------------------------------------------------------------------------

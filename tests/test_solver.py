@@ -23,7 +23,7 @@ from cheshire.errors import (
     InputError,
     VacuousSelectionError,
 )
-from conftest import ket_vec, random_ket
+from conftest import basis_ket, delta_targets, equal_up_to_phase, ket_vec, random_ket
 
 C1 = ch.BasisConvention(1)
 C2 = ch.BasisConvention(2)
@@ -32,7 +32,7 @@ SQ2 = math.sqrt(2)
 
 def delta_problem(theta, phi):
     pair = ch.general_two_cat(theta, phi)
-    return pair, solver.delta_targets(C2)
+    return pair, delta_targets(C2)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +123,7 @@ def test_solution_support_is_minimal():
 def test_delta_targets_beyond_dense_dimensions(n):
     """The n-photon deltas rebuild n_cat(n).post where 4**n columns could not be eliminated."""
     pair = ch.n_cat(n)
-    targets = solver.delta_targets(pair.convention)
+    targets = delta_targets(pair.convention)
     post = ch.solve_post(ch.assemble(pair.pre, targets))
     assert ch.verify(pair.pre, post, targets) < 1e-10
     assert ch.fidelity_up_to_phase(post, pair.post) >= 1 - 1e-12
@@ -243,7 +243,7 @@ def test_scale_invariance_of_solution():
     post_a = ch.solve_post(ch.assemble(pair.pre, targets))
     scaled = ch.superpose([(3.7j, pair.pre)])
     post_b = ch.solve_post(ch.assemble(scaled, targets))
-    assert ch.equal_up_to_phase(ch.normalize(post_a), ch.normalize(post_b), tol=1e-10)
+    assert equal_up_to_phase(ch.normalize(post_a), ch.normalize(post_b), tol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +271,7 @@ def test_parse_problem_text():
     assert pre.amplitudes == pytest.approx({4: 1 / SQ2, 8: 1 / SQ2})
     assert len(targets) == 8
     post = ch.solve_post(ch.assemble(pre, targets))
-    assert ch.equal_up_to_phase(ch.normalize(post), ch.two_cat().post, tol=1e-10)
+    assert equal_up_to_phase(ch.normalize(post), ch.two_cat().post, tol=1e-10)
 
 
 def test_parse_problem_letter_labels_and_expressions():
@@ -398,7 +398,7 @@ def solved_or_error(solve):
 
 def delta_case(n):
     pre = ch.n_cat(n).pre if n >= 2 else ch.single().pre
-    return pre, solver.delta_targets(ch.BasisConvention(n))
+    return pre, delta_targets(ch.BasisConvention(n))
 
 
 def random_problem(seed, n):
@@ -438,7 +438,7 @@ def dense_pre_case(seed, n, kind):
     rng = np.random.default_rng(seed)
     pre = random_ket(rng, n)
     if kind == "delta":
-        return pre, solver.delta_targets(pre.convention)
+        return pre, delta_targets(pre.convention)
     _, targets = random_problem(seed, n)
     return pre, [ch.WeakValueTarget(t.observable, complex(int(rng.integers(2)))) for t in targets]
 
@@ -452,7 +452,7 @@ REFERENCE_CASES |= {
 }
 REFERENCE_CASES |= {
     f"general({theta:.3f},{phi:.3f})": (
-        lambda t=theta, p=phi: (ch.general_two_cat(t, p).pre, solver.delta_targets(C2))
+        lambda t=theta, p=phi: (ch.general_two_cat(t, p).pre, delta_targets(C2))
     )
     for theta in (math.pi / 8, math.pi / 4, 3 * math.pi / 8)
     for phi in (0.0, 1.0, math.pi)
@@ -477,7 +477,7 @@ REFERENCE_CASES |= {
     ]),
     # full rank on its one active column but not on all sixteen: vacuous, not infeasible
     "rank-equals-columns": lambda: (
-        ch.basis_ket(C2, "0000"), [ch.WeakValueTarget(ch.path_projector(C2, 1, "L"), 0.0)]
+        basis_ket(C2, "0000"), [ch.WeakValueTarget(ch.path_projector(C2, 1, "L"), 0.0)]
     ),
 }
 

@@ -9,6 +9,7 @@ import pytest
 import cheshire as ch
 from cheshire.errors import AnomalousSelectionError, InputError, ZeroNormError
 from conftest import (
+    basis_ket,
     dense_observable,
     dense_path_projector,
     dense_sigma,
@@ -141,7 +142,7 @@ def test_grin_arms_sum_to_full_sigma():
 
 def test_orthogonal_selection_rejected():
     """Weak values are undefined at orthogonality; the raw overlap is reported."""
-    pair = ch.pair_from_states(ch.basis_ket(C1, "00"), ch.basis_ket(C1, "10"))
+    pair = ch.pair_from_states(basis_ket(C1, "00"), basis_ket(C1, "10"))
     with pytest.raises(AnomalousSelectionError) as err:
         ch.weak_value(ch.path_projector(C1, 1, "L"), pair)
     assert abs(err.value.overlap) < 1e-10
@@ -150,7 +151,7 @@ def test_orthogonal_selection_rejected():
 
 
 def test_eigenstate_weak_value_is_eigenvalue():
-    pre = ch.basis_ket(C1, "00")  # in arm L
+    pre = basis_ket(C1, "00")  # in arm L
     post = ch.make_ket(C1, {0: 1 / SQ2, 2: 1 / SQ2})
     pair = ch.pair_from_states(pre, post)
     assert ch.weak_value(ch.path_projector(C1, 1, "L"), pair) == pytest.approx(1.0)
@@ -256,7 +257,7 @@ def test_pointer_imaginary_part_contract():
 
 def test_pointer_eigenstate_exact_shift():
     """Eigenvalue-1 input: the pointer translates by exactly g at any coupling."""
-    pre = ch.basis_ket(C1, "00")
+    pre = basis_ket(C1, "00")
     post = ch.make_ket(C1, {0: 1 / SQ2, 2: 1 / SQ2})
     pair = ch.pair_from_states(pre, post)
     obs = ch.path_projector(C1, 1, "L")
@@ -274,8 +275,8 @@ def test_pointer_identity_observable():
 
 
 def test_pointer_rejects_vanishing_postselection():
-    pre = ch.basis_ket(C1, "00")
-    post = ch.basis_ket(C1, "01")  # orthogonal, and the coupling keeps it so
+    pre = basis_ket(C1, "00")
+    post = basis_ket(C1, "01")  # orthogonal, and the coupling keeps it so
     pair = ch.pair_from_states(pre, post)
     obs = ch.path_projector(C1, 1, "R")  # annihilates the pre state
     with pytest.raises(AnomalousSelectionError):
