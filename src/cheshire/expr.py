@@ -131,7 +131,10 @@ def parse_complex(text: str) -> complex:
     if not tokens:
         raise InputError("empty expression")
     parser = _Parser(tokens, text)
-    value = parser.expr()
+    try:
+        value = parser.expr()
+    except RecursionError:
+        raise InputError(f"expression {text[:40]!r}... nests too deeply") from None
     if parser.peek() is not None:
         raise InputError(f"trailing tokens after expression in {text!r}")
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):

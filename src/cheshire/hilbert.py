@@ -32,7 +32,8 @@ which is Pauli Y_m = i X_m Z_m (sigma_z|H> = i|V>, sigma_z|V> = -i|H> in
 the H/V basis), and their per-arm products Y_m (I +- Z_p)/2. Sums, scalings
 and products stay in this form, so applying an operator, taking a matrix
 element <bra|O|ket> or checking that it is Hermitian never depends on the
-dimension 4**n. Only `operator_from_dense` keeps a dense matrix.
+dimension 4**n. `operator_from_dense` expands a dense matrix into Pauli
+strings once, at construction, so it too yields this one form.
 
 Global phase is never silently normalized away; comparing two kets up to a
 global phase is the separate operation `fidelity_up_to_phase`.
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InputError, ZeroNormError
@@ -54,7 +55,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 PRUNE_THRESHOLD = 1e-14
-NORM_TOL = 1e-12
 # largest hermitian_defect() an observable may have (targets, pointer couplings)
 HERMITIAN_TOL = 1e-12
 
@@ -157,20 +157,10 @@ def _prune(amplitudes: dict[int, complex]) -> dict[int, complex]:
 
 @dataclass(frozen=True)
 class Ket:
-    """Sparse complex amplitude vector over the labeled basis.
-
-    The `normalized` flag is computed at construction and simply records
-    whether the stored norm is 1 within NORM_TOL.
-    """
+    """Sparse complex amplitude vector over the labeled basis."""
 
     convention: BasisConvention
     amplitudes: dict[int, complex]
-    normalized: bool = field(default=False)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Ket):
-            return NotImplemented
-        return self.convention == other.convention and self.amplitudes == other.amplitudes
 
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
@@ -194,7 +184,7 @@ class Ket:
 
 
 def make_ket(convention: BasisConvention, amplitudes: dict[int, complex]) -> Ket:
-    """Build a Ket from raw amplitudes, pruning and setting the norm flag."""
+    """Build a Ket from raw amplitudes, pruning and range checking them."""
     amps = _prune(amplitudes)
     dim = convention.dim
     for k in amps:
@@ -206,7 +196,7 @@ def make_ket(convention: BasisConvention, amplitudes: dict[int, complex]) -> Ket
         total = math.inf
     if total == math.inf:
         raise InputError("amplitudes too large: the squared norm overflows")
-    return Ket(convention, amps, abs(total - 1.0) <= NORM_TOL)
+    return Ket(convention, amps)
 
 
 def ket_from_dense(convention: BasisConvention, vec: np.ndarray) -> Ket:
@@ -256,53 +246,42 @@ def fidelity_up_to_phase(a: Ket, b: Ket) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """Linear map as a sum of Pauli strings on the 2n index bits, or a dense matrix.
+    """Linear map as a sum of Pauli strings on the 2n index bits.
 
     `terms` holds (x, z, c) triples, each the string c X^x Z^z: Z^z
     multiplies |k> by (-1)^popcount(k & z), then X^x flips the bits of x,
     so the string sends |k> to c (-1)^popcount(k & z) |k ^ x>. The (x, z)
     pairs are distinct and no c is zero. Every named observable is one or
-    two such strings, so nothing here depends on the dimension 4**n.
-
-    Only `operator_from_dense` sets `matrix` instead (the Pauli expansion of
-    a generic matrix has 16^n terms); `to_dense` is guarded for small
-    dimensions only.
+    two such strings, so nothing here depends on the dimension 4**n. A dense
+    matrix is expanded once, by `operator_from_dense`, into up to 16^n
+    strings; `to_dense` is guarded for small dimensions only.
     """
 
     convention: BasisConvention
     terms: tuple[tuple[int, int, complex], ...] = ()
     name: str = ""
-    matrix: np.ndarray | None = None
 
     def column(self, k: int) -> dict[int, complex]:
         """Nonzero entries of column k as {row: value}, i.e. the expansion of O|k>."""
         if not 0 <= k < self.convention.dim:
             raise InputError(f"column index {k} out of range for dim {self.convention.dim}")
-        if self.matrix is not None:
-            import numpy as np
-
-            column = self.matrix[:, k]
-            return {int(j): complex(column[j]) for j in np.nonzero(column)[0]}
         out: dict[int, complex] = {}
         for x, z, c in self.terms:
             out[k ^ x] = out.get(k ^ x, 0j) + (-c if (k & z).bit_count() & 1 else c)
         return {j: v for j, v in out.items() if v != 0}
 
     def hermitian_defect(self) -> float:
-        """Exact size of O - O^dagger: max over Pauli coefficients, or over dense entries.
+        """Bound on the entries of O - O^dagger: max over x of sum_z |d(x, z)|.
 
-        (c X^x Z^z)^dagger = conj(c) (-1)^popcount(x & z) X^x Z^z and distinct
-        strings are linearly independent, so a term-form operator is
-        Hermitian exactly when c = (-1)^popcount(x & z) conj(c) for every term.
+        (c X^x Z^z)^dagger = conj(c) (-1)^popcount(x & z) X^x Z^z, so O - O^dagger
+        has coefficients d = c - (-1)^popcount(x & z) conj(c), zero exactly when O
+        is Hermitian. Entry (j, k) of O - O^dagger is sum_z d(x, z) (-1)^popcount(k & z)
+        with x = j ^ k, so the row sum bounds it, and every single |d| too.
         """
-        if self.matrix is not None:
-            import numpy as np
-
-            return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-        return max(
-            (abs(c - (-1) ** (x & z).bit_count() * c.conjugate()) for x, z, c in self.terms),
-            default=0.0,
-        )
+        rows: dict[int, float] = {}
+        for x, z, c in self.terms:
+            rows[x] = rows.get(x, 0.0) + abs(c - (-1) ** (x & z).bit_count() * c.conjugate())
+        return max(rows.values(), default=0.0)
 
     def to_dense(self) -> np.ndarray:
         import numpy as np
@@ -323,11 +302,6 @@ def apply(op: Operator, state: Ket) -> Ket:
     if op.convention != state.convention:
         raise InputError("operator and state use mixed conventions")
     out: dict[int, complex] = {}
-    if op.matrix is not None:
-        for k, a in state.amplitudes.items():
-            for j, v in op.column(k).items():
-                out[j] = out.get(j, 0j) + v * a
-        return make_ket(state.convention, out)
     # Consecutive strings with the same x-mask (as in every named observable)
     # land on one row: sum their signed coefficients, then write once. The
     # zero-mask guards skip big-int work at large n.
@@ -359,8 +333,6 @@ def matrix_element(bra: Ket, op: Operator, ket: Ket) -> complex:
     """
     if not bra.convention == op.convention == ket.convention:
         raise InputError("matrix element between mixed conventions")
-    if op.matrix is not None:
-        return inner(bra, apply(op, ket))
     terms, amps = op.terms, bra.amplitudes
     first = terms[0][0] if terms else 0
     total = 0j
@@ -428,25 +400,15 @@ def _merged(terms: Iterable[tuple[int, int, complex]]) -> tuple[tuple[int, int, 
     return tuple((x, z, c) for (x, z), c in merged.items() if c != 0)
 
 
-def _matrix(op: Operator) -> np.ndarray:
-    return op.matrix if op.matrix is not None else op.to_dense()
-
-
 def op_add(a: Operator, b: Operator) -> Operator:
     if a.convention != b.convention:
         raise InputError("operator sum between mixed conventions")
-    name = f"({a.name}+{b.name})"
-    if a.matrix is not None or b.matrix is not None:
-        return operator_from_dense(a.convention, _matrix(a) + _matrix(b), name)
-    return Operator(a.convention, _merged(a.terms + b.terms), name)
+    return Operator(a.convention, _merged(a.terms + b.terms), f"({a.name}+{b.name})")
 
 
 def op_scale(c: complex, a: Operator) -> Operator:
     cc = complex(c)
-    name = f"{c}*{a.name}"
-    if a.matrix is not None:
-        return operator_from_dense(a.convention, cc * a.matrix, name)
-    return Operator(a.convention, _merged((x, z, cc * v) for x, z, v in a.terms), name)
+    return Operator(a.convention, _merged((x, z, cc * v) for x, z, v in a.terms), f"{c}*{a.name}")
 
 
 def op_compose(a: Operator, b: Operator) -> Operator:
@@ -457,23 +419,35 @@ def op_compose(a: Operator, b: Operator) -> Operator:
     """
     if a.convention != b.convention:
         raise InputError("operator product between mixed conventions")
-    name = f"({a.name}@{b.name})"
-    if a.matrix is not None or b.matrix is not None:
-        return operator_from_dense(a.convention, _matrix(a) @ _matrix(b), name)
     products = (
         (x1 ^ x2, z1 ^ z2, -c1 * c2 if (z1 & x2).bit_count() & 1 else c1 * c2)
         for x1, z1, c1 in a.terms
         for x2, z2, c2 in b.terms
     )
-    return Operator(a.convention, _merged(products), name)
+    return Operator(a.convention, _merged(products), f"({a.name}@{b.name})")
 
 
 def operator_from_dense(convention: BasisConvention, matrix: np.ndarray, name: str = "") -> Operator:
+    """Pauli expansion of a dense matrix M: c(x, z) = sum_k (-1)^popcount(k & z) M[k ^ x, k] / dim.
+
+    Row x gathers M[k ^ x, k] over k and one Walsh-Hadamard butterfly over k
+    gives every z at once. The nonzero strings come out in ascending (x, z)
+    order, so strings with one x-mask are consecutive, as `apply` wants.
+    """
     import numpy as np
 
+    dim = convention.dim
     matrix = np.asarray(matrix, dtype=complex)
-    if matrix.shape != (convention.dim, convention.dim):
-        raise InputError(
-            f"matrix shape {matrix.shape} does not match dim {convention.dim}"
-        )
-    return Operator(convention, name=name, matrix=matrix)
+    if matrix.shape != (dim, dim):
+        raise InputError(f"matrix shape {matrix.shape} does not match dim {dim}")
+    k = np.arange(dim)
+    coeffs = matrix[k ^ k[:, None], k]
+    h = 1
+    while h < dim:  # bit h of k: (a, b) -> (a + b, a - b)
+        pairs = coeffs.reshape(dim, -1, 2, h)
+        a, b = pairs[:, :, 0], pairs[:, :, 1]
+        coeffs = np.stack((a + b, a - b), axis=2)
+        h *= 2
+    coeffs = coeffs.reshape(dim, dim) / dim
+    terms = tuple((int(x), int(z), complex(coeffs[x, z])) for x, z in zip(*np.nonzero(coeffs)))
+    return Operator(convention, terms, name)

@@ -164,17 +164,28 @@ class Circuit:
     postselect_on: str
 
     def __post_init__(self):
-        """Every element must address photons 1..n_photons, so a bad circuit cannot be built."""
+        """Source, elements and detectors must all address photons 1..n_photons with H/V pols."""
+        n = self.n_photons
+        if isinstance(self.source, SpdcSource):
+            if n != 2:
+                raise CircuitConfigError(f"an spdc source emits 2 photons, not {n}")
+        elif len(self.source.paths) != n or len(self.source.pols) != n:
+            raise CircuitConfigError(f"ket source {self.source} does not list one path and pol per photon")
+        elif not all(p in _POLS for p in self.source.pols):
+            raise CircuitConfigError(f"ket source pols {self.source.pols} must be H or V")
+        for photon, mode, pol in self.detectors:
+            if not 1 <= photon <= n or pol not in _POLS:
+                raise CircuitConfigError(f"detector port photon={photon} mode={mode} pol={pol} is invalid")
         for el in self.pre_elements + self.post_elements:
             if isinstance(el, BeamSplitter):
                 for cfg in (el.in_a, el.in_b, el.out_a, el.out_b):
-                    if len(cfg) != self.n_photons:
+                    if len(cfg) != n:
                         raise CircuitConfigError(
                             f"beam splitter {el.name!r} port configuration {cfg} "
                             f"does not list one mode per photon"
                         )
             else:
-                if not 1 <= el.photon <= self.n_photons:
+                if not 1 <= el.photon <= n:
                     raise CircuitConfigError(f"element {el} addresses a missing photon")
 
 

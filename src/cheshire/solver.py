@@ -56,8 +56,8 @@ class WeakValueTarget:
     """One constraint: the observable's weak value must equal `target`.
 
     The observable must be Hermitian within 1e-12. The check reads the
-    operator's Pauli coefficients (or its dense matrix), so it is exact and
-    runs at every photon count.
+    operator's Pauli coefficients, so it is exact and runs at every photon
+    count.
     """
 
     observable: Operator

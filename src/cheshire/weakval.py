@@ -265,8 +265,8 @@ def pointer_shift(obs: Operator, pair: PrePostPair, cfg: PointerConfig) -> tuple
     the Gaussian translated by g lambda and weighted by <post|P_lambda|pre>,
     so the cost does not depend on the dimension 4**n. The post-selected
     norm and the means are closed-form sums over pairs of branches. O must be
-    Hermitian within 1e-12, read exactly from its Pauli coefficients (or its
-    dense matrix); otherwise InputError is raised.
+    Hermitian within 1e-12, read exactly from its Pauli coefficients;
+    otherwise InputError is raised.
     """
     import numpy as np
 

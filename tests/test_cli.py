@@ -466,6 +466,35 @@ def test_repeated_runs_are_byte_identical():
 
 
 # ---------------------------------------------------------------------------
+# no input path ends in a traceback
+
+BAD_EXPRESSIONS = {"malformed": "1+*2", "too-deep": "-" * 2000 + "1"}
+GUARD_ENTRY_POINTS = ["general-angle", "problem-amplitude", "circuit-t", "pointer-g"]
+
+
+@pytest.mark.parametrize("expression", BAD_EXPRESSIONS.values(), ids=BAD_EXPRESSIONS.keys())
+@pytest.mark.parametrize("entry", GUARD_ENTRY_POINTS)
+def test_bad_expression_exits_two_without_traceback(entry, expression, tmp_path):
+    if entry == "general-angle":
+        args = ("scenario", f"general:theta={expression}")
+    elif entry == "problem-amplitude":
+        path = tmp_path / "bad.problem"
+        path.write_text(GOOD_PROBLEM.replace("pre 0100 1/sqrt(2) 0", f"pre 0100 {expression} 0"))
+        args = ("solve", str(path))
+    elif entry == "circuit-t":
+        device = Path(builtin()).read_text()
+        path = tmp_path / "bad.circuit"
+        path.write_text(device.replace("t=1/sqrt(2) r=-1/sqrt(2)", f"t={expression} r=-1/sqrt(2)"))
+        args = ("circuit", str(path))
+    else:
+        args = ("pointer", "two-cat", "path:1:L", "--g", f"0.01,{expression}")
+    proc = spawn(*args)
+    assert proc.returncode == 2, proc.stderr
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr.startswith(b"error: ")
+
+
+# ---------------------------------------------------------------------------
 # imports: each subcommand loads only what it runs
 
 IMPORT_PROBE = """\

@@ -57,3 +57,11 @@ def test_division_by_zero():
 def test_function_overflow_is_input_error(text):
     with pytest.raises(InputError, match="overflows"):
         parse_real(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["(" * 300 + "1" + ")" * 300, "-" * 2000 + "1"], ids=["parens", "unary-minus"]
+)
+def test_deep_nesting_is_input_error(text):
+    with pytest.raises(InputError, match="nests too deeply"):
+        parse_complex(text)

@@ -97,11 +97,6 @@ def test_make_ket_prunes_and_range_checks():
         ch.make_ket(C1, {4: 1.0})
 
 
-def test_normalized_flag():
-    assert ch.make_ket(C1, {0: 1.0}).normalized
-    assert not ch.make_ket(C1, {0: 0.5}).normalized
-
-
 def test_amplitude_accepts_labels_and_indices():
     state = ch.make_ket(C2, {4: 0.25j})
     assert state.amplitude(4) == 0.25j
@@ -115,7 +110,7 @@ def test_superpose_and_normalize():
     s = ch.superpose([(1j, a), (1.0, b)])
     assert s.norm() == pytest.approx(math.sqrt(2))
     n = ch.normalize(s)
-    assert n.normalized
+    assert n.norm() == pytest.approx(1.0, abs=1e-12)
     assert n.amplitude(0) == pytest.approx(1j / math.sqrt(2))
 
 
@@ -267,6 +262,39 @@ def test_apply_linearity():
         assert ch.superpose([(1.0, left), (-1.0, right)]).norm() < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_operator_from_dense_round_trip(n):
+    conv = ch.BasisConvention(n)
+    rng = np.random.default_rng(60 + n)
+    mat = rng.standard_normal((conv.dim, conv.dim)) + 1j * rng.standard_normal((conv.dim, conv.dim))
+    op = ch.operator_from_dense(conv, mat)
+    assert np.max(np.abs(op.to_dense() - mat)) <= 1e-15 * np.max(np.abs(mat))
+    keys = [(x, z) for x, z, _ in op.terms]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert all(c != 0 for *_, c in op.terms)
+
+
+def test_operator_from_dense_keeps_only_nonzero_strings():
+    """A named observable's matrix expands back into exactly its own strings, in (x, z) order."""
+    grin = ch.grin_observable(C2, 2, "R")
+    assert ch.operator_from_dense(C2, grin.to_dense()).terms == tuple(sorted(grin.terms))
+
+
+@pytest.mark.parametrize("eps", [1e-13, 1e-11])
+def test_dense_hermitian_defect_bounds_entrywise_defect(eps):
+    rng = np.random.default_rng(48)
+    for conv in (C1, C2):
+        dim = conv.dim
+        for _ in range(10):
+            a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            mat = a + a.conj().T
+            assert ch.operator_from_dense(conv, mat).hermitian_defect() == 0.0
+            j, k = rng.integers(dim, size=2)
+            mat[j, k] += eps * np.exp(2j * np.pi * rng.random())
+            defect = ch.operator_from_dense(conv, mat).hermitian_defect()
+            assert defect >= np.max(np.abs(mat - mat.conj().T))
+
+
 def test_operator_from_dense_matches():
     rng = np.random.default_rng(17)
     mat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -415,11 +443,12 @@ def _matrix_element_operators(conv):
     return ops
 
 
-def _assert_matrix_element_matches(bra, op, ket):
+def _assert_matrix_element_matches(bra, op, ket, size=None):
+    """`size` bounds the operator norm; by default sum |c|, as each Pauli string has norm 1."""
     got = hilbert.matrix_element(bra, op, ket)
     want = ch.inner(bra, ch.apply(op, ket))
-    # bounds the operator norm: each Pauli string has norm 1
-    size = np.linalg.norm(op.matrix, 2) if op.matrix is not None else sum(abs(c) for *_, c in op.terms)
+    if size is None:
+        size = sum(abs(c) for *_, c in op.terms)
     assert abs(got - want) <= 1e-12 * bra.norm() * ket.norm() * size, (op.name, got, want)
 
 
@@ -444,7 +473,7 @@ def test_matrix_element_of_dense_operator():
     op = ch.operator_from_dense(C2, mat)
     for _ in range(20):
         bra, ket = _sparse_ket(rng, C2), _sparse_ket(rng, C2)
-        _assert_matrix_element_matches(bra, op, ket)
+        _assert_matrix_element_matches(bra, op, ket, np.linalg.norm(mat, 2))
         want = complex(ket_vec(bra).conj() @ mat @ ket_vec(ket))
         scale = bra.norm() * ket.norm() * np.linalg.norm(mat, 2)
         assert abs(hilbert.matrix_element(bra, op, ket) - want) <= 1e-12 * scale

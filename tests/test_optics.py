@@ -176,6 +176,25 @@ def test_circuit_with_missing_photon_fails_at_construction():
         )
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"source": optics.KetSource(("L",), ("H",))},
+        {"source": optics.KetSource(("L", "R"), ("H",))},
+        {"source": optics.KetSource(("L", "R"), ("H", "D"))},
+        {"n_photons": 3, "pre_elements": (), "post_elements": (), "detectors": {(1, "L", "H"): "D5"}},
+        {"detectors": {(3, "L", "H"): "D5"}},
+        {"detectors": {(0, "L", "H"): "D5"}},
+        {"detectors": {(1, "L", "X"): "D5"}},
+    ],
+    ids=["ket-short", "ket-pols-short", "ket-bad-pol", "spdc-three-photons",
+         "detector-photon-high", "detector-photon-zero", "detector-bad-pol"],
+)
+def test_bad_source_or_detector_fails_at_construction(change):
+    with pytest.raises(CircuitConfigError):
+        dataclasses.replace(ch.two_cat_device(), **change)
+
+
 def test_mode_collision_detected():
     """A splitter output landing on an occupied pass-through mode breaks unitarity."""
     bs = optics.BeamSplitter(("L",), ("x",), ("R",), ("x",), t=1.0, r=0.0)
