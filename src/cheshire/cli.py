@@ -59,6 +59,13 @@ def _g(value: float) -> str:
     return "%.12g" % value
 
 
+def _csv_field(text: str) -> str:
+    """Quote a field holding a comma, a quote or a line break, doubling its quotes (RFC 4180)."""
+    if any(c in text for c in ',"\n\r'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _render_rows(
     headers: Sequence[str],
     rows: Sequence[Sequence],
@@ -73,8 +80,7 @@ def _render_rows(
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     cells = [[_g(v) if isinstance(v, float) else str(v) for v in row] for row in rows]
     if fmt == "csv":
-        lines = [",".join(headers)]
-        lines.extend(",".join(row) for row in cells)
+        lines = [",".join(map(_csv_field, row)) for row in [headers, *cells]]
         lines.extend(f"# {key} {_g(v) if isinstance(v, float) else v}" for key, v in meta.items())
         return "\n".join(lines) + "\n"
     widths = [

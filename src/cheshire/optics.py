@@ -38,14 +38,16 @@ Numeric parameters are arithmetic expressions (pi, i, sqrt, ...). Elements
 before the `postselection` marker form the pre-selection block; the rest is
 the post-selection block. Detector lines bind (photon, mode, polarization)
 ports to labels; a run groups final configurations by their coincidence
-pattern (the sorted set of labels the photons land on, joined with '+'), and
-the `postselect-on` label names the success pattern in which every photon
-lands on that detector.
+pattern (the sorted set of labels the photons land on, joined with '+', so a
+label may not hold '+'), and the `postselect-on` label names the success
+pattern in which every photon lands on that detector. A directive refuses
+keys and flags it does not know.
 
-Monte Carlo runs draw whole coincidence patterns from the exact
-distribution. Shots are processed in fixed 4096-shot blocks, each with its
-own generator seeded from (seed, block index), so counts depend only on
-(circuit, shots, seed).
+Monte Carlo runs sample coincidence patterns from the exact distribution in
+4096-shot blocks. Block b draws its counts with one multinomial draw from a
+generator seeded with (seed, b), so counts depend only on (circuit, shots,
+seed), and a run of k whole blocks is a prefix of every longer run with the
+same seed. numpy is imported only there, by `run_monte_carlo`.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from itertools import product
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import hilbert
 from .errors import (
@@ -67,14 +69,12 @@ from .errors import (
 from .expr import parse_complex, parse_real
 from .hilbert import PRUNE_THRESHOLD, BasisConvention, Ket
 
-if TYPE_CHECKING:
-    import numpy as np
-
 Config = tuple[tuple[str, str], ...]
 OpticsState = dict[Config, complex]
 
 _POLS = ("H", "V")
 _BLOCK = 4096
+_PLUS_LABEL = "contains '+', which joins the labels of a coincidence pattern"
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +87,10 @@ class Pbs:
 
     photon: int
     ports: tuple[str, str]
+
+    def __post_init__(self):
+        if self.ports[0] == self.ports[1]:
+            raise InputError(f"polarizing splitter on photon {self.photon} needs two distinct ports")
 
 
 @dataclass(frozen=True)
@@ -173,9 +177,11 @@ class Circuit:
             raise CircuitConfigError(f"ket source {self.source} does not list one path and pol per photon")
         elif not all(p in _POLS for p in self.source.pols):
             raise CircuitConfigError(f"ket source pols {self.source.pols} must be H or V")
-        for photon, mode, pol in self.detectors:
+        for (photon, mode, pol), label in self.detectors.items():
             if not 1 <= photon <= n or pol not in _POLS:
                 raise CircuitConfigError(f"detector port photon={photon} mode={mode} pol={pol} is invalid")
+            if "+" in label:
+                raise CircuitConfigError(f"detector label {label!r} {_PLUS_LABEL}")
         for el in self.pre_elements + self.post_elements:
             if isinstance(el, BeamSplitter):
                 for cfg in (el.in_a, el.in_b, el.out_a, el.out_b):
@@ -207,12 +213,12 @@ def _initial_state(circuit: Circuit) -> OpticsState:
 
 def apply_element(state: OpticsState, element: Element) -> OpticsState:
     out: OpticsState = {}
-    if isinstance(element, BeamSplitter):
+    kind = type(element)
+    if kind is BeamSplitter:
         block_a: dict[tuple[str, ...], complex] = {}
         block_b: dict[tuple[str, ...], complex] = {}
         for config, amp in state.items():
-            modes = tuple(m for m, _ in config)
-            pols = tuple(p for _, p in config)
+            modes, pols = zip(*config)
             if modes == element.in_a:
                 block_a[pols] = block_a.get(pols, 0j) + amp
             elif modes == element.in_b:
@@ -233,7 +239,7 @@ def apply_element(state: OpticsState, element: Element) -> OpticsState:
                     )
             out[cfg_a] = out.get(cfg_a, 0j) + t * a_in - r.conjugate() * b_in
             out[cfg_b] = out.get(cfg_b, 0j) + r * a_in + t.conjugate() * b_in
-    elif isinstance(element, Pbs):
+    elif kind is Pbs:
         i = element.photon - 1
         a, b = element.ports
         for config, amp in state.items():
@@ -243,19 +249,18 @@ def apply_element(state: OpticsState, element: Element) -> OpticsState:
             elif pol == "V" and mode == b:
                 config = config[:i] + ((a, pol),) + config[i + 1 :]
             out[config] = out.get(config, 0j) + amp
-    elif isinstance(element, Plate):
-        i = element.photon - 1
-        rows = tuple(zip(_POLS, element.matrix))
+    elif kind is Plate:
+        i, arm = element.photon - 1, element.arm
+        # each column of the matrix as its nonzero (row pol, entry) pairs
+        columns = [[(p, row[col]) for p, row in zip(_POLS, element.matrix) if row[col]] for col in (0, 1)]
         for config, amp in state.items():
             mode, pol = config[i]
-            if mode != element.arm:
+            if mode != arm:
                 out[config] = out.get(config, 0j) + amp
                 continue
-            col = 0 if pol == "H" else 1
-            for row_pol, row in rows:
-                if row[col]:
-                    cfg = config if row_pol == pol else config[:i] + ((mode, row_pol),) + config[i + 1 :]
-                    out[cfg] = out.get(cfg, 0j) + row[col] * amp
+            for row_pol, entry in columns[0 if pol == "H" else 1]:
+                cfg = config if row_pol == pol else config[:i] + ((mode, row_pol),) + config[i + 1 :]
+                out[cfg] = out.get(cfg, 0j) + entry * amp
     else:
         raise InputError(f"unknown element {element!r}")
     return {c: a for c, a in out.items() if abs(a) >= PRUNE_THRESHOLD}
@@ -397,15 +402,6 @@ def run_exact(circuit: Circuit) -> ExactResult:
     return ExactResult(patterns, circuit.postselect_on)
 
 
-def _block_counts(cum: np.ndarray, seed: int, block: int, size: int) -> np.ndarray:
-    import numpy as np
-
-    rng = np.random.default_rng([seed, block])
-    draws = rng.random(size)
-    idx = np.searchsorted(cum, draws, side="right")
-    return np.bincount(np.minimum(idx, len(cum) - 1), minlength=len(cum))
-
-
 def run_monte_carlo(circuit: Circuit, shots: int, seed: int) -> ClickRecord:
     """Sample coincidence patterns; identical (circuit, shots, seed) give identical counts."""
     if shots < 1:
@@ -417,10 +413,11 @@ def run_monte_carlo(circuit: Circuit, shots: int, seed: int) -> ClickRecord:
     exact = run_exact(circuit)
     names = sorted(exact.patterns)
     probs = np.array([exact.patterns[p].probability for p in names])
-    cum = np.cumsum(probs / probs.sum())
-    blocks = [(b, min(_BLOCK, shots - b * _BLOCK)) for b in range((shots + _BLOCK - 1) // _BLOCK)]
-    partials = [_block_counts(cum, seed, b, size) for b, size in blocks]
-    totals = np.sum(partials, axis=0)
+    probs /= probs.sum()
+    totals = np.zeros(len(names), dtype=np.int64)
+    for block in range((shots + _BLOCK - 1) // _BLOCK):
+        rng = np.random.default_rng([seed, block])
+        totals += rng.multinomial(min(_BLOCK, shots - block * _BLOCK), probs)
     return ClickRecord(
         counts={name: int(c) for name, c in zip(names, totals)},
         shots=shots,
@@ -512,13 +509,23 @@ class CalibrationResult:
     settings: dict[str, tuple[complex, complex]]
 
 
-def _pol_block(state: OpticsState, modes: tuple[str, ...], n: int) -> np.ndarray:
-    import numpy as np
+def _pol_block(state: OpticsState, modes: tuple[str, ...], n: int) -> list[complex]:
+    return [state.get(tuple(zip(modes, pols)), 0j) for pols in product(_POLS, repeat=n)]
 
-    block = np.zeros(2**n, dtype=complex)
-    for j, pols in enumerate(product(_POLS, repeat=n)):
-        block[j] = state.get(tuple(zip(modes, pols)), 0j)
-    return block
+
+def _null_direction(alpha: list[complex], beta: list[complex]) -> tuple[complex, complex] | None:
+    """Unit (x0, x1) minimizing |x0 alpha + x1 beta|; None if every direction does."""
+    a = sum(abs(v) ** 2 for v in alpha)
+    d = sum(abs(v) ** 2 for v in beta)
+    b = sum(u.conjugate() * v for u, v in zip(alpha, beta))
+    low = (a + d) / 2 - math.hypot((a - d) / 2, abs(b))
+    x0, x1 = max((b, low - a), (low - d, b.conjugate()), key=lambda x: math.hypot(abs(x[0]), abs(x[1])))
+    size = math.hypot(abs(x0), abs(x1))
+    if size == 0.0:  # the Gram matrix is a multiple of the identity
+        return None
+    peak = x0 if abs(x0) >= abs(x1) else x1
+    phase = complex(peak).conjugate() / (abs(peak) * size)
+    return x0 * phase, x1 * phase
 
 
 def calibrate_postselection(
@@ -530,14 +537,18 @@ def calibrate_postselection(
     with the block unitary, so calibration is funneling: propagating the
     normalized target forward, each adjustable splitter must send zero
     amplitude into whichever of its output ports cannot reach the success
-    configuration. The (t, r) achieving that is the smallest-singular-value
-    direction of the two input polarization blocks; colinear blocks give an
-    exact zero, anything else gets the least-squares best and shows up in
-    the residual 1 - |<success|block|target>|. Raises the calibration error,
-    carrying the best residual, if the threshold is not met.
+    configuration. With alpha and beta its input polarization blocks, that
+    (t, r) is the unit x minimizing |x0 alpha + x1 beta|: the low eigenvector
+    of the Gram matrix [[a, b], [conj(b), d]], a = |alpha|^2, d = |beta|^2,
+    b = <alpha|beta>. Its eigenvalue is low = (a + d)/2 - hypot((a - d)/2, |b|);
+    the longer of (b, low - a) and (low - d, conj(b)) is normalized and its
+    larger entry turned real and positive. Colinear blocks give an exact
+    zero, anything else gets the least-squares best and shows up in the
+    residual 1 - |<success|block|target>|. If every direction is optimal
+    (zero blocks, or orthogonal blocks of equal norm), t = 1 and r = 0.
+    Raises the calibration error, carrying the best residual, if the
+    threshold is not met.
     """
-    import numpy as np
-
     if not any(isinstance(e, BeamSplitter) and e.adjustable for e in circuit.post_elements):
         raise InputError("circuit has no adjustable beam splitter to calibrate")
     succ = _success_config(circuit)
@@ -564,21 +575,15 @@ def calibrate_postselection(
                 f"both output ports of {element.name!r} can reach the success port; "
                 "calibration is ambiguous"
             )
-        alpha = _pol_block(state, element.in_a, n)
-        beta = _pol_block(state, element.in_b, n)
-        columns = np.column_stack([alpha, beta])
-        if not np.any(np.abs(columns) > 0):
+        x = _null_direction(_pol_block(state, element.in_a, n), _pol_block(state, element.in_b, n))
+        if x is None:
             t, r = 1.0 + 0j, 0j
+        elif reach_b or not reach_a:
+            # dump through out_a: zero t*alpha - conj(r)*beta
+            t, r = x[0], -x[1].conjugate()
         else:
-            x = np.linalg.svd(columns)[2][-1].conj()
-            peak = int(np.argmax(np.abs(x)))
-            x = x * (x[peak].conjugate() / abs(x[peak]))
-            if reach_b or not reach_a:
-                # dump through out_a: zero t*alpha - conj(r)*beta
-                t, r = complex(x[0]), -complex(x[1]).conjugate()
-            else:
-                # dump through out_b: zero r*alpha + conj(t)*beta
-                r, t = complex(x[0]), complex(x[1]).conjugate()
+            # dump through out_b: zero r*alpha + conj(t)*beta
+            r, t = x[0], x[1].conjugate()
         tuned = replace(element, t=t, r=r)
         settings[element.name or f"bs@{pos}"] = (t, r)
         state = apply_element(state, tuned)
@@ -602,17 +607,32 @@ def calibrate_postselection(
 # circuit file parsing
 
 
-def _split_kv(parts: Sequence[str], line_no: int) -> tuple[dict[str, str], set[str]]:
+# the keys each element kind accepts; `bs` also takes the flag `adjustable`
+_ELEMENT_KEYS = {
+    "pbs": ("photon", "ports"),
+    "phase": ("photon", "arm", "shift"),
+    **{kind: ("photon", "arm") for kind in _PLATES},
+    "bs": ("name", "in_a", "in_b", "out_a", "out_b", "t", "r"),
+}
+
+
+def _split_kv(
+    parts: Sequence[str], keys: Sequence[str], line_no: int, known_flags: Sequence[str] = ()
+) -> tuple[dict[str, str], set[str]]:
     kv: dict[str, str] = {}
     flags: set[str] = set()
     for part in parts:
-        if "=" in part:
-            key, value = part.split("=", 1)
-            if key in kv:
-                raise CircuitParseError(f"duplicate key {key!r}", line_no)
-            kv[key] = value
-        else:
+        key, eq, value = part.partition("=")
+        if not eq:
+            if part not in known_flags:
+                raise CircuitParseError(f"unknown flag {part!r}", line_no)
             flags.add(part)
+        elif key not in keys:
+            raise CircuitParseError(f"unknown key {key!r}", line_no)
+        elif key in kv:
+            raise CircuitParseError(f"duplicate key {key!r}", line_no)
+        else:
+            kv[key] = value
     return kv, flags
 
 
@@ -620,6 +640,16 @@ def _need(kv: dict[str, str], key: str, line_no: int) -> str:
     if key not in kv:
         raise CircuitParseError(f"missing {key}=...", line_no)
     return kv[key]
+
+
+def _photon(kv: dict[str, str], n: int, what: str, line_no: int) -> int:
+    try:
+        photon = int(_need(kv, "photon", line_no))
+    except ValueError:
+        raise CircuitParseError("photon index must be an integer", line_no) from None
+    if not 1 <= photon <= n:
+        raise CircuitParseError(f"{what} photon {photon} is not in 1..{n}", line_no)
+    return photon
 
 
 def _modes_tuple(text: str, n: int, line_no: int) -> tuple[str, ...]:
@@ -659,38 +689,41 @@ def parse_circuit(text: str) -> Circuit:
                 raise CircuitParseError("duplicate source line", line_no)
             if len(parts) < 2:
                 raise CircuitParseError("source needs a kind (spdc or ket)", line_no)
-            kv, _ = _split_kv(parts[2:], line_no)
+            if parts[1] not in ("spdc", "ket"):
+                raise CircuitParseError(f"unknown source kind {parts[1]!r}", line_no)
+            kv, _ = _split_kv(parts[2:], ("modes",) if parts[1] == "spdc" else ("path", "pol"), line_no)
             if parts[1] == "spdc":
                 if n_photons != 2:
                     raise CircuitParseError("spdc source requires photons 2", line_no)
                 modes = _modes_tuple(_need(kv, "modes", line_no), 2, line_no)
                 source = SpdcSource(modes)
-            elif parts[1] == "ket":
+            else:
                 paths = _modes_tuple(_need(kv, "path", line_no), n_photons, line_no)
                 pols = _modes_tuple(_need(kv, "pol", line_no), n_photons, line_no)
                 if not all(p in _POLS for p in pols):
                     raise CircuitParseError("pol entries must be H or V", line_no)
                 source = KetSource(paths, pols)
-            else:
-                raise CircuitParseError(f"unknown source kind {parts[1]!r}", line_no)
         elif word == "element":
             if len(parts) < 2:
                 raise CircuitParseError("element needs a kind", line_no)
             kind = parts[1]
-            kv, flags = _split_kv(parts[2:], line_no)
+            if kind not in _ELEMENT_KEYS:
+                raise CircuitParseError(f"unknown element kind {kind!r}", line_no)
+            flags_known = ("adjustable",) if kind == "bs" else ()
+            kv, flags = _split_kv(parts[2:], _ELEMENT_KEYS[kind], line_no, flags_known)
             try:
                 if kind == "pbs":
                     ports = _modes_tuple(_need(kv, "ports", line_no), 2, line_no)
-                    el: Element = Pbs(int(_need(kv, "photon", line_no)), ports)
+                    el: Element = Pbs(_photon(kv, n_photons, "element", line_no), ports)
                 elif kind in _PLATES or kind == "phase":
-                    photon, arm = int(_need(kv, "photon", line_no)), _need(kv, "arm", line_no)
+                    photon, arm = _photon(kv, n_photons, "element", line_no), _need(kv, "arm", line_no)
                     if kind == "phase":
                         shift = parse_real(_need(kv, "shift", line_no))
                         e = complex(math.cos(shift), math.sin(shift))
                         el = Plate(photon, arm, ((e, 0j), (0j, e)))
                     else:
                         el = Plate(photon, arm, _PLATES[kind])
-                elif kind == "bs":
+                else:
                     in_a = _modes_tuple(_need(kv, "in_a", line_no), n_photons, line_no)
                     in_b = _modes_tuple(_need(kv, "in_b", line_no), n_photons, line_no)
                     out_a = _modes_tuple(kv["out_a"], n_photons, line_no) if "out_a" in kv else in_a
@@ -705,27 +738,22 @@ def parse_circuit(text: str) -> Circuit:
                         kv.get("name", ""),
                         "adjustable" in flags,
                     )
-                else:
-                    raise CircuitParseError(f"unknown element kind {kind!r}", line_no)
             except InputError as exc:
                 raise CircuitParseError(str(exc), line_no) from None
-            except ValueError:
-                raise CircuitParseError("photon index must be an integer", line_no) from None
             (post if seen_marker else pre).append(el)
         elif word == "postselection":
+            if len(parts) != 1:
+                raise CircuitParseError("postselection takes no arguments", line_no)
             if seen_marker:
                 raise CircuitParseError("duplicate postselection marker", line_no)
             seen_marker = True
         elif word == "detector":
             if len(parts) < 2:
                 raise CircuitParseError("detector needs a label", line_no)
-            kv, _ = _split_kv(parts[2:], line_no)
-            try:
-                photon = int(_need(kv, "photon", line_no))
-            except ValueError:
-                raise CircuitParseError("photon index must be an integer", line_no) from None
-            if not 1 <= photon <= n_photons:
-                raise CircuitParseError(f"detector photon {photon} is not in 1..{n_photons}", line_no)
+            if "+" in parts[1]:
+                raise CircuitParseError(f"detector label {parts[1]!r} {_PLUS_LABEL}", line_no)
+            kv, _ = _split_kv(parts[2:], ("photon", "mode", "pol"), line_no)
+            photon = _photon(kv, n_photons, "detector", line_no)
             mode = _need(kv, "mode", line_no)
             pol = _need(kv, "pol", line_no)
             if pol not in _POLS:

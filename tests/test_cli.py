@@ -6,6 +6,8 @@ and malformed input, 3 degenerate/infeasible/vacuous/anomalous/calibration,
 must produce byte-identical stdout.
 """
 
+import csv
+import io
 import json
 import math
 import subprocess
@@ -17,7 +19,7 @@ from click.testing import CliRunner
 
 import cheshire as ch
 from cheshire import optics
-from cheshire.cli import _execute, main, parse_scenario_id
+from cheshire.cli import _execute, _render_rows, main, parse_scenario_id
 
 runner = CliRunner()
 
@@ -337,8 +339,15 @@ def test_circuit_malformed_file_exits_two(tmp_path):
         ("detector D9 photon=7 mode=L pol=H", "detector photon 7 is not in 1..2"),
         ("detector D9 photon=0 mode=L pol=H", "detector photon 0 is not in 1..2"),
         ("postselect-on D1", "duplicate postselect-on line"),
+        ("detector D7+D8 photon=1 mode=z pol=H", "contains '+'"),
+        ("element hwp photon=0 arm=L", "element photon 0 is not in 1..2"),
+        ("element pbs photon=1 ports=L,L", "distinct ports"),
+        ("element hwp photon=1 arm=L adjustable", "unknown flag 'adjustable'"),
+        ("element bs in_a=L,R in_b=R,L t=1 r=0 adjustible", "unknown flag 'adjustible'"),
+        ("element pbs photon=1 ports=L,R bogus=3", "unknown key 'bogus'"),
     ],
-    ids=["detector-photon-7", "detector-photon-0", "second-postselect-on"],
+    ids=["detector-photon-7", "detector-photon-0", "second-postselect-on", "detector-label-plus",
+         "element-photon-0", "pbs-same-ports", "plate-flag", "bs-misspelt-flag", "pbs-unknown-key"],
 )
 def test_circuit_bad_extra_line_exits_two(tmp_path, extra, message):
     lines = Path(optics.builtin_circuit_path()).read_text(encoding="utf-8").splitlines()
@@ -348,6 +357,22 @@ def test_circuit_bad_extra_line_exits_two(tmp_path, extra, message):
     assert result.exit_code == 2
     assert f"line {len(lines) + 1}" in result.stderr
     assert message in result.stderr
+
+
+def test_circuit_csv_quotes_fields_holding_commas():
+    result = run_cli("--format", "csv", "circuit", builtin(), "--emit", "conditional-state")
+    assert result.exit_code == 0
+    rows = [row for row in csv.reader(io.StringIO(result.output)) if not row[0].startswith("#")]
+    assert rows[0] == ["config", "re", "im"]
+    assert [row[0] for row in rows[1:]] == ["R,H;L,H"]
+    assert all(len(row) == 3 for row in rows)
+
+
+def test_csv_quoting_round_trips_through_csv_reader():
+    fields = ("plain", "a,b", 'say "hi"', "two\nlines", "")
+    out = _render_rows(("x",) * len(fields), [fields], "csv")
+    assert list(csv.reader(io.StringIO(out))) == [["x"] * len(fields), list(fields)]
+    assert out.splitlines()[1].startswith('plain,"a,b","say ""hi""","two')
 
 
 def test_circuit_missing_file_exits_four(tmp_path):

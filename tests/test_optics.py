@@ -10,6 +10,8 @@ agreement.
 
 import dataclasses
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -61,6 +63,11 @@ def test_pbs_routes_and_is_self_inverse():
     assert once == {(("L", "H"),): 0.6 + 0j, (("R", "V"),): 0.8j}
     twice = optics.apply_element(once, pbs)
     assert twice == state
+
+
+def test_pbs_rejects_identical_ports():
+    with pytest.raises(InputError):
+        optics.Pbs(1, ("L", "L"))
 
 
 def test_hwp_swaps_polarization_on_its_arm_only():
@@ -186,9 +193,10 @@ def test_circuit_with_missing_photon_fails_at_construction():
         {"detectors": {(3, "L", "H"): "D5"}},
         {"detectors": {(0, "L", "H"): "D5"}},
         {"detectors": {(1, "L", "X"): "D5"}},
+        {"detectors": {(1, "R", "H"): "D5", (2, "L", "H"): "D5", (1, "L", "H"): "D1+D2"}},
     ],
     ids=["ket-short", "ket-pols-short", "ket-bad-pol", "spdc-three-photons",
-         "detector-photon-high", "detector-photon-zero", "detector-bad-pol"],
+         "detector-photon-high", "detector-photon-zero", "detector-bad-pol", "detector-label-plus"],
 )
 def test_bad_source_or_detector_fails_at_construction(change):
     with pytest.raises(CircuitConfigError):
@@ -495,6 +503,89 @@ def test_monte_carlo_partial_final_block():
     assert sum(record.counts.values()) == 5000
 
 
+def test_monte_carlo_counts_are_one_multinomial_per_seeded_block():
+    """Block b draws min(4096, shots - 4096 b) shots from a generator seeded [seed, b]."""
+    circ = ch.two_cat_device()
+    probs = ch.run_exact(circ).probabilities()
+    p = np.array(list(probs.values()))
+    shots, seed = 3 * 4096 + 5, 11
+    want = sum(
+        np.random.default_rng([seed, b]).multinomial(min(4096, shots - 4096 * b), p / p.sum())
+        for b in range(4)
+    )
+    record = ch.run_monte_carlo(circ, shots=shots, seed=seed)
+    assert record.counts == dict(zip(probs, (int(c) for c in want)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_monte_carlo_whole_blocks_extend_a_run(k):
+    circ = ch.two_cat_device()
+    short = ch.run_monte_carlo(circ, shots=4096 * k, seed=5).counts
+    longer = ch.run_monte_carlo(circ, shots=4096 * (k + 1), seed=5).counts
+    assert set(short) == set(longer)
+    assert all(longer[p] >= short[p] for p in short)
+    assert sum(longer[p] - short[p] for p in short) == 4096
+
+
+# ---------------------------------------------------------------------------
+# the calibration's closed form against an SVD reference
+
+
+def svd_direction(alpha, beta):
+    """Unit x minimizing |x0 alpha + x1 beta|, its larger entry turned real positive."""
+    x = np.linalg.svd(np.column_stack([alpha, beta]))[2][-1].conj()
+    peak = int(np.argmax(np.abs(x)))
+    return x * (x[peak].conjugate() / abs(x[peak]))
+
+
+def random_block(rng, size):
+    return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+
+def direction_pairs():
+    rng = np.random.default_rng(2024)
+    pairs = []
+    for size in (2, 4, 8):
+        for _ in range(300):
+            pairs.append((random_block(rng, size), random_block(rng, size)))  # random
+        for _ in range(100):
+            alpha, c = random_block(rng, size), complex(*rng.normal(size=2))
+            pairs.append((alpha, c * alpha))  # colinear
+            pairs.append((alpha, c * alpha + 1e-9 * random_block(rng, size)))  # near-colinear
+            zero = np.zeros(size, dtype=complex)
+            pairs.append((zero, random_block(rng, size)))  # one zero column
+            pairs.append((random_block(rng, size), zero))
+    return pairs
+
+
+def test_null_direction_matches_svd_reference():
+    worst = 0.0
+    for alpha, beta in direction_pairs():
+        got = np.array(optics._null_direction(list(alpha), list(beta)))
+        worst = max(worst, float(np.max(np.abs(got - svd_direction(alpha, beta)))))
+    assert worst <= 1e-12
+
+
+def test_null_direction_of_a_degenerate_pair_is_none():
+    """All-zero blocks, or orthogonal blocks of equal norm: every direction is optimal."""
+    assert optics._null_direction([0j, 0j], [0j, 0j]) is None
+    assert optics._null_direction([1 + 0j, 0j], [0j, 1j]) is None
+    assert optics._null_direction([0.6 + 0j, 0.8j], [0.8 + 0j, 0.6j]) is not None
+
+
+def test_exact_and_calibration_paths_load_no_numpy():
+    probe = (
+        "import sys, cheshire as ch\n"
+        "device = ch.two_cat_device()\n"
+        "tuned = ch.calibrate_postselection(device, ch.two_cat().post).circuit\n"
+        "ch.run_exact(tuned), ch.effective_postselection(tuned)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 # ---------------------------------------------------------------------------
 # circuit file parsing
 
@@ -515,6 +606,18 @@ def test_monte_carlo_partial_final_block():
         ("photons 2\nsource ket path=L pol=H\n", 2),  # wrong arity
         ("photons 1\nsource ket path=L pol=Q\n", 2),
         ("photons 1\nsource ket path=L pol=H\ndetector D1 photon=1 mode=L pol=H\ndetector D2 photon=1 mode=L pol=H\npostselect-on D1\n", 4),
+        ("photons 1\nelement hwp photon=0 arm=L\n", 2),  # photon out of range
+        ("photons 1\nelement pbs photon=2 ports=L,R\n", 2),
+        ("photons 1\nelement pbs photon=1 ports=L,L\n", 2),  # identical ports
+        ("photons 1\nelement bs in_a=L in_b=R t=1 r=0 adjustible\n", 2),  # unknown flag
+        ("photons 1\nelement hwp photon=1 arm=L adjustable\n", 2),
+        ("photons 1\nelement pbs photon=1 ports=L,R bogus=3\n", 2),  # unknown key
+        ("photons 1\nelement phase photon=1 arm=L shift=0 t=1\n", 2),
+        ("photons 1\nsource ket path=L pol=H modes=L\n", 2),
+        ("photons 2\nsource spdc modes=L,L fast\n", 2),
+        ("photons 1\nsource ket path=L pol=H\ndetector D1 photon=1 mode=L pol=H label=x\n", 3),
+        ("photons 1\npostselection now\n", 2),
+        ("photons 1\nsource ket path=L pol=H\ndetector D1+D2 photon=1 mode=L pol=H\n", 3),  # '+' label
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
@@ -562,8 +665,29 @@ detector D1 photon=2 mode=L pol=H
 detector D1 photon=2 mode=L pol=V
 postselect-on D1
 """
-    with pytest.raises(CircuitConfigError):
+    with pytest.raises(CircuitParseError) as err:
         optics.parse_circuit(text)
+    assert err.value.line_no == 3
+
+
+PLUS_LABEL_CIRCUIT = """\
+photons 2
+source ket path=L,L pol=H,H
+element bs in_a=L,L in_b=R,R t=1/sqrt(2) r=1/sqrt(2)
+detector A photon=1 mode=L pol=H
+detector B photon=2 mode=L pol=H
+detector A+B photon=1 mode=R pol=H
+detector A+B photon=2 mode=R pol=H
+postselect-on A
+"""
+
+
+def test_plus_in_detector_label_is_refused():
+    """Patterns join labels with '+': the pair on A and B and the pair on A+B would both read A+B."""
+    with pytest.raises(CircuitParseError) as err:
+        optics.parse_circuit(PLUS_LABEL_CIRCUIT)
+    assert err.value.line_no == 6
+    assert "'+'" in str(err.value)
 
 
 def test_parse_circuit_file_missing(tmp_path):
