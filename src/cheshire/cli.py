@@ -3,8 +3,11 @@
 Subcommands: scenario (weak-value report checked against the expected
 delta pattern), solve (post-selection synthesis from a problem file),
 circuit (exact or Monte Carlo interferometer runs), pointer (weak-coupling
-convergence table). Global flags --format {table,csv,json}, --seed
-(default 7), --tol (default 1e-10).
+convergence table). Global flags, given before the subcommand: --format
+{table,csv,json}, --seed (default 7), --tol (default 1e-10). The parser is
+the standard library's argparse and takes no abbreviated option names; an
+option value that begins with '-' and is not a plain number is written
+--option=value.
 
 Exit codes, stable for scripting:
     0  success / report matches
@@ -17,8 +20,9 @@ Exit codes, stable for scripting:
 All commands are deterministic: identical argv, files, and seed produce
 byte-identical stdout.
 
-Each subcommand imports the modules it runs inside its own body, so a call
-loads only those. numpy is imported only by the functions that do dense
+Each subcommand is a function of the parsed arguments that imports the
+modules it runs inside its own body, so a call loads only those. numpy, the
+one dependency outside the standard library, is imported only by the functions that do dense
 algebra or sampling: `scenario`, `circuit --emit probs` and `circuit --emit
 conditional-state` never load it; `solve`, `pointer` and `circuit --emit
 counts` do.
@@ -26,11 +30,11 @@ counts` do.
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
-from typing import TYPE_CHECKING, Callable, Sequence
-
-import click
+import sys
+from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
 
 from .errors import (
     AnomalousSelectionError,
@@ -109,14 +113,14 @@ _EXIT_CODES = (
 )
 
 
-def _execute(action: Callable[[], int]) -> None:
+def _execute(action: Callable[[], int]) -> NoReturn:
     try:
         code = action()
     except (CheshireError, OSError) as exc:
         message = f"error: {exc}"
         if isinstance(exc, AnomalousSelectionError):
             message += f" (raw overlap {exc.overlap!r})"
-        click.echo(message, err=True)
+        sys.stderr.write(message + "\n")
         raise SystemExit(next(c for kinds, c in _EXIT_CODES if isinstance(exc, kinds))) from None
     raise SystemExit(code)
 
@@ -179,216 +183,194 @@ def parse_scenario_id(text: str) -> ScenarioId:
     )
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["table", "csv", "json"]),
-    default="table",
-    show_default=True,
-    help="output rendering",
-)
-@click.option("--seed", type=int, default=7, show_default=True, help="Monte Carlo seed")
-@click.option("--tol", type=float, default=1e-10, show_default=True, help="match tolerance")
-@click.pass_context
-def main(ctx: click.Context, fmt: str, seed: int, tol: float) -> None:
-    """Weak values and post-selected photon-pair simulations."""
-    if not 0 < tol < math.inf:
-        raise click.UsageError("--tol must be finite and positive")
-    ctx.obj = {"format": fmt, "seed": seed, "tol": tol}
+def _scenario(args: argparse.Namespace) -> int:
+    from . import scenarios, weakval
+
+    sid = parse_scenario_id(args.scenario_id)
+    pair = scenarios.build_pair(sid)
+    report = weakval.weak_value_report(pair)
+    pattern = scenarios.expected_pattern(sid)
+    ok = all(abs(report.entries[key] - want) <= args.tol for key, want in pattern.items())
+    verdict = "PASS" if ok else "FAIL"
+    if args.format == "table":
+        out = report.to_table() + f"pattern match: {verdict} (tolerance {_g(args.tol)})\n"
+    elif args.format == "csv":
+        out = report.to_csv() + f",pattern_match,,{verdict},\n"
+    else:
+        payload = json.loads(report.to_json_text())
+        payload["pattern_match"] = ok
+        out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    sys.stdout.write(out)
+    return 0 if ok else EXIT_MISMATCH
 
 
-@main.command()
-@click.argument("scenario_id")
-@click.pass_context
-def scenario(ctx: click.Context, scenario_id: str) -> None:
-    """Weak-value report for SCENARIO_ID, checked against its expected pattern."""
+def _solve(args: argparse.Namespace) -> int:
+    from . import solver
 
-    def action() -> int:
-        from . import scenarios, weakval
-
-        sid = parse_scenario_id(scenario_id)
-        pair = scenarios.build_pair(sid)
-        report = weakval.weak_value_report(pair)
-        pattern = scenarios.expected_pattern(sid)
-        tol = ctx.obj["tol"]
-        ok = all(abs(report.entries[key] - want) <= tol for key, want in pattern.items())
-        verdict = "PASS" if ok else "FAIL"
-        fmt = ctx.obj["format"]
-        if fmt == "table":
-            out = report.to_table() + f"pattern match: {verdict} (tolerance {_g(tol)})\n"
-        elif fmt == "csv":
-            out = report.to_csv() + f",pattern_match,,{verdict},\n"
-        else:
-            payload = json.loads(report.to_json_text())
-            payload["pattern_match"] = ok
-            out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        click.echo(out, nl=False)
-        return 0 if ok else EXIT_MISMATCH
-
-    _execute(action)
+    pre, targets = solver.parse_problem_file(args.problem_file)
+    post = solver.solve_post(solver.assemble(pre, targets))
+    residual = solver.verify(pre, post, targets)
+    conv = post.convention
+    rows = [
+        (conv.label_of_index(index), amp.real, amp.imag)
+        for index, amp in sorted(post.amplitudes.items())
+    ]
+    sys.stdout.write(_render_rows(("label", "re", "im"), rows, args.format, meta={"residual": residual}))
+    return 0 if residual < args.tol else EXIT_MISMATCH
 
 
-@main.command()
-@click.argument("problem_file")
-@click.pass_context
-def solve(ctx: click.Context, problem_file: str) -> None:
-    """Synthesize a post-selection state from the targets in PROBLEM_FILE."""
+def _circuit(args: argparse.Namespace) -> int:
+    from . import optics
 
-    def action() -> int:
-        from . import solver
-
-        pre, targets = solver.parse_problem_file(problem_file)
-        post = solver.solve_post(solver.assemble(pre, targets))
-        residual = solver.verify(pre, post, targets)
-        conv = post.convention
+    circ = optics.parse_circuit_file(args.circuit_file)
+    if args.emit == "counts":
+        seed = args.seed_override if args.seed_override is not None else args.seed
+        record = optics.run_monte_carlo(circ, args.shots, seed)
+        rows = sorted(record.counts.items())
+        meta = {"shots": args.shots, "seed": seed}
+        out = _render_rows(("pattern", "count"), rows, args.format, meta=meta)
+    elif args.emit == "probs":
+        result = optics.run_exact(circ)
+        rows = list(result.probabilities().items())
+        out = _render_rows(("pattern", "probability"), rows, args.format)
+    else:
+        result = optics.run_exact(circ)
+        chosen = args.pattern if args.pattern is not None else result.success_pattern
+        state = result.conditional(chosen)
         rows = [
-            (conv.label_of_index(index), amp.real, amp.imag)
-            for index, amp in sorted(post.amplitudes.items())
+            (";".join(f"{mode},{pol}" for mode, pol in config), amp.real, amp.imag)
+            for config, amp in sorted(state.items())
         ]
-        out = _render_rows(
-            ("label", "re", "im"),
-            rows,
-            ctx.obj["format"],
-            meta={"residual": residual},
+        meta = {"pattern": chosen, "probability": result.probability(chosen)}
+        out = _render_rows(("config", "re", "im"), rows, args.format, meta=meta)
+    sys.stdout.write(out)
+    return 0
+
+
+def _pointer(args: argparse.Namespace) -> int:
+    from . import scenarios, weakval
+
+    sid = parse_scenario_id(args.scenario_id)
+    pair = scenarios.build_pair(sid)
+    obs = weakval.observable_from_descriptor(pair.convention, args.descriptor)
+    w = weakval.weak_value(obs, pair)
+    couplings = [parse_real(tok) for tok in args.g.split(",") if tok.strip()]
+    if any(g <= 0 for g in couplings):
+        raise InputError("couplings must be positive")
+    if len(set(couplings)) < 2:
+        raise InputError("--g needs at least two distinct couplings to test convergence")
+    rows = []
+    deviations = []
+    for g in couplings:
+        cfg = weakval.PointerConfig(g=g, sigma_p=args.sigma_p)
+        mean_x, _ = weakval.pointer_shift(obs, pair, cfg)
+        ratio = mean_x / g
+        deviation = abs(ratio - w.real)
+        rows.append((g, ratio, deviation))
+        deviations.append(deviation)
+    ok = True
+    for (g_prev, g_next, d_prev, d_next) in zip(
+        couplings, couplings[1:], deviations, deviations[1:]
+    ):
+        bound = d_prev * (g_next / g_prev) ** 2 * _QUAD_SLACK + 1e-12
+        if d_next > bound and d_next > _DEV_FLOOR:
+            ok = False
+    meta = {"re_weak_value": w.real, "convergence": "PASS" if ok else "FAIL"}
+    sys.stdout.write(_render_rows(("g", "shift_over_g", "deviation"), rows, args.format, meta=meta))
+    return 0 if ok else EXIT_MISMATCH
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cheshire",
+        description="Weak values and post-selected photon-pair simulations.",
+        allow_abbrev=False,
+    )
+    parser.add_argument(
+        "--format", choices=("table", "csv", "json"), default="table", help="output rendering (default: table)"
+    )
+    parser.add_argument("--seed", type=int, default=7, help="Monte Carlo seed (default: 7)")
+    parser.add_argument("--tol", type=float, default=1e-10, help="match tolerance (default: 1e-10)")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+
+    def command(
+        name: str, run: Callable[[argparse.Namespace], int], summary: str, details: str = ""
+    ) -> argparse.ArgumentParser:
+        sub = commands.add_parser(
+            name, help=summary, description=f"{summary} {details}".strip(), allow_abbrev=False
         )
-        click.echo(out, nl=False)
-        return 0 if residual < ctx.obj["tol"] else EXIT_MISMATCH
+        sub.set_defaults(run=run)
+        return sub
 
-    _execute(action)
+    scenario = command(
+        "scenario", _scenario, "Weak-value report for SCENARIO_ID, checked against its expected pattern."
+    )
+    scenario.add_argument("scenario_id", metavar="SCENARIO_ID")
+
+    solve = command("solve", _solve, "Synthesize a post-selection state from the targets in PROBLEM_FILE.")
+    solve.add_argument("problem_file", metavar="PROBLEM_FILE")
+
+    circuit = command("circuit", _circuit, "Run the interferometer described by CIRCUIT_FILE.")
+    circuit.add_argument("circuit_file", metavar="CIRCUIT_FILE")
+    circuit.add_argument("--shots", type=int, help="Monte Carlo shot count (counts mode)")
+    circuit.add_argument("--seed", dest="seed_override", type=int, help="override the global seed")
+    circuit.add_argument(
+        "--emit",
+        choices=("counts", "probs", "conditional-state"),
+        default="probs",
+        help="what to print (default: probs)",
+    )
+    circuit.add_argument(
+        "--pattern", help="coincidence pattern for conditional-state (default: the success pattern)"
+    )
+
+    pointer = command(
+        "pointer",
+        _pointer,
+        "Pointer-shift convergence of DESCRIPTOR's weak value on SCENARIO_ID.",
+        "Simulates the weakly coupled pointer at each coupling g and tabulates shift/g against "
+        "the real part of the weak value; exits 0 when the deviation shrinks at least "
+        "quadratically along the schedule.",
+    )
+    pointer.add_argument("scenario_id", metavar="SCENARIO_ID")
+    pointer.add_argument("descriptor", metavar="DESCRIPTOR")
+    pointer.add_argument(
+        "--g", default="1e-2,5e-3,2.5e-3", help="comma-separated coupling schedule (default: %(default)s)"
+    )
+    pointer.add_argument(
+        "--sigma-p", type=float, default=0.5, help="pointer momentum spread (default: 0.5)"
+    )
+    return parser
 
 
-@main.command()
-@click.argument("circuit_file")
-@click.option("--shots", type=int, default=None, help="Monte Carlo shot count (counts mode)")
-@click.option("--seed", "seed_override", type=int, default=None, help="override the global seed")
-@click.option(
-    "--emit",
-    type=click.Choice(["counts", "probs", "conditional-state"]),
-    default="probs",
-    show_default=True,
-    help="what to print",
-)
-@click.option(
-    "--pattern",
-    default=None,
-    help="coincidence pattern for conditional-state (default: the success pattern)",
-)
-@click.pass_context
-def circuit(
-    ctx: click.Context,
-    circuit_file: str,
-    shots: int | None,
-    seed_override: int | None,
-    emit: str,
-    pattern: str | None,
-) -> None:
-    """Run the interferometer described by CIRCUIT_FILE."""
+def _usage_error(args: argparse.Namespace) -> str | None:
+    """The first option combination the parser cannot refuse by itself, or None."""
+    if not 0 < args.tol < math.inf:
+        return "--tol must be finite and positive"
+    if args.command != "circuit":
+        return None
+    shots, emit = args.shots, args.emit
     if shots is not None and shots < 1:
-        raise click.UsageError("--shots must be a positive integer")
+        return "--shots must be a positive integer"
     if emit == "counts" and shots is None:
-        raise click.UsageError("--emit counts needs --shots")
+        return "--emit counts needs --shots"
     if shots is not None and emit != "counts":
-        raise click.UsageError("--shots needs --emit counts")
-    if pattern is not None and emit != "conditional-state":
-        raise click.UsageError("--pattern needs --emit conditional-state")
-    if seed_override is not None and emit != "counts":
-        raise click.UsageError("--seed needs --emit counts")
-
-    def action() -> int:
-        from . import optics
-
-        circ = optics.parse_circuit_file(circuit_file)
-        fmt = ctx.obj["format"]
-        if emit == "counts":
-            seed = seed_override if seed_override is not None else ctx.obj["seed"]
-            record = optics.run_monte_carlo(circ, shots, seed)
-            rows = sorted(record.counts.items())
-            out = _render_rows(
-                ("pattern", "count"), rows, fmt, meta={"shots": shots, "seed": seed}
-            )
-        elif emit == "probs":
-            result = optics.run_exact(circ)
-            rows = list(result.probabilities().items())
-            out = _render_rows(("pattern", "probability"), rows, fmt)
-        else:
-            result = optics.run_exact(circ)
-            chosen = pattern if pattern is not None else result.success_pattern
-            state = result.conditional(chosen)
-            rows = [
-                (";".join(f"{mode},{pol}" for mode, pol in config), amp.real, amp.imag)
-                for config, amp in sorted(state.items())
-            ]
-            out = _render_rows(
-                ("config", "re", "im"),
-                rows,
-                fmt,
-                meta={"pattern": chosen, "probability": result.probability(chosen)},
-            )
-        click.echo(out, nl=False)
-        return 0
-
-    _execute(action)
+        return "--shots needs --emit counts"
+    if args.pattern is not None and emit != "conditional-state":
+        return "--pattern needs --emit conditional-state"
+    if args.seed_override is not None and emit != "counts":
+        return "--seed needs --emit counts"
+    return None
 
 
-@main.command()
-@click.argument("scenario_id")
-@click.argument("descriptor")
-@click.option(
-    "--g",
-    "g_text",
-    default="1e-2,5e-3,2.5e-3",
-    show_default=True,
-    help="comma-separated coupling schedule",
-)
-@click.option("--sigma-p", type=float, default=0.5, show_default=True, help="pointer momentum spread")
-@click.pass_context
-def pointer(ctx: click.Context, scenario_id: str, descriptor: str, g_text: str, sigma_p: float) -> None:
-    """Pointer-shift convergence of DESCRIPTOR's weak value on SCENARIO_ID.
-
-    Simulates the weakly coupled pointer at each coupling g and tabulates
-    shift/g against the real part of the weak value; exits 0 when the
-    deviation shrinks at least quadratically along the schedule.
-    """
-
-    def action() -> int:
-        from . import scenarios, weakval
-
-        sid = parse_scenario_id(scenario_id)
-        pair = scenarios.build_pair(sid)
-        obs = weakval.observable_from_descriptor(pair.convention, descriptor)
-        w = weakval.weak_value(obs, pair)
-        couplings = [parse_real(tok) for tok in g_text.split(",") if tok.strip()]
-        if any(g <= 0 for g in couplings):
-            raise InputError("couplings must be positive")
-        if len(set(couplings)) < 2:
-            raise InputError("--g needs at least two distinct couplings to test convergence")
-        rows = []
-        deviations = []
-        for g in couplings:
-            cfg = weakval.PointerConfig(g=g, sigma_p=sigma_p)
-            mean_x, _ = weakval.pointer_shift(obs, pair, cfg)
-            ratio = mean_x / g
-            deviation = abs(ratio - w.real)
-            rows.append((g, ratio, deviation))
-            deviations.append(deviation)
-        ok = True
-        for (g_prev, g_next, d_prev, d_next) in zip(
-            couplings, couplings[1:], deviations, deviations[1:]
-        ):
-            bound = d_prev * (g_next / g_prev) ** 2 * _QUAD_SLACK + 1e-12
-            if d_next > bound and d_next > _DEV_FLOOR:
-                ok = False
-        out = _render_rows(
-            ("g", "shift_over_g", "deviation"),
-            rows,
-            ctx.obj["format"],
-            meta={"re_weak_value": w.real, "convergence": "PASS" if ok else "FAIL"},
-        )
-        click.echo(out, nl=False)
-        return 0 if ok else EXIT_MISMATCH
-
-    _execute(action)
+def main(argv: Sequence[str] | None = None) -> NoReturn:
+    """Run one command line; always ends in SystemExit with the exit code."""
+    parser = _parser()
+    args = parser.parse_args(argv)
+    problem = _usage_error(args)
+    if problem:
+        parser.error(problem)
+    _execute(lambda: args.run(args))
 
 
 if __name__ == "__main__":

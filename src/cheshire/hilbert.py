@@ -261,15 +261,6 @@ class Operator:
     terms: tuple[tuple[int, int, complex], ...] = ()
     name: str = ""
 
-    def column(self, k: int) -> dict[int, complex]:
-        """Nonzero entries of column k as {row: value}, i.e. the expansion of O|k>."""
-        if not 0 <= k < self.convention.dim:
-            raise InputError(f"column index {k} out of range for dim {self.convention.dim}")
-        out: dict[int, complex] = {}
-        for x, z, c in self.terms:
-            out[k ^ x] = out.get(k ^ x, 0j) + (-c if (k & z).bit_count() & 1 else c)
-        return {j: v for j, v in out.items() if v != 0}
-
     def hermitian_defect(self) -> float:
         """Bound on the entries of O - O^dagger: max over x of sum_z |d(x, z)|.
 
@@ -289,11 +280,12 @@ class Operator:
         dim = self.convention.dim
         if dim > _DENSE_DIM_LIMIT:
             raise InputError(f"refusing to densify a dim-{dim} operator; limit {_DENSE_DIM_LIMIT}")
+        k = np.arange(dim)
+        odd = np.array([i.bit_count() & 1 for i in range(dim)], dtype=bool)
         mat = np.zeros((dim, dim), dtype=complex)
-        for k in range(dim):
-            for j, v in self.column(k).items():
-                if abs(v) >= PRUNE_THRESHOLD:
-                    mat[j, k] = v
+        for x, z, c in self.terms:  # the string sends |k> to +-c |k ^ x>
+            mat[k ^ x, k] += np.where(odd[k & z], -c, c)
+        mat[abs(mat) < PRUNE_THRESHOLD] = 0
         return mat
 
 

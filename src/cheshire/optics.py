@@ -41,7 +41,8 @@ ports to labels; a run groups final configurations by their coincidence
 pattern (the sorted set of labels the photons land on, joined with '+', so a
 label may not hold '+'), and the `postselect-on` label names the success
 pattern in which every photon lands on that detector. A directive refuses
-keys and flags it does not know.
+keys and flags it does not know. Splitter names, where given, are distinct:
+calibration reports its settings by name.
 
 Monte Carlo runs sample coincidence patterns from the exact distribution in
 4096-shot blocks. Block b draws its counts with one multinomial draw from a
@@ -182,8 +183,13 @@ class Circuit:
                 raise CircuitConfigError(f"detector port photon={photon} mode={mode} pol={pol} is invalid")
             if "+" in label:
                 raise CircuitConfigError(f"detector label {label!r} {_PLUS_LABEL}")
+        names: set[str] = set()
         for el in self.pre_elements + self.post_elements:
             if isinstance(el, BeamSplitter):
+                if el.name:
+                    if el.name in names:
+                        raise CircuitConfigError(f"duplicate beam splitter name {el.name!r}")
+                    names.add(el.name)
                 for cfg in (el.in_a, el.in_b, el.out_a, el.out_b):
                     if len(cfg) != n:
                         raise CircuitConfigError(
@@ -665,6 +671,7 @@ def parse_circuit(text: str) -> Circuit:
     pre: list[Element] = []
     post: list[Element] = []
     seen_marker = False
+    splitter_names: set[str] = set()
     detectors: dict[tuple[int, str, str], str] = {}
     postselect_on: str | None = None
 
@@ -740,6 +747,10 @@ def parse_circuit(text: str) -> Circuit:
                     )
             except InputError as exc:
                 raise CircuitParseError(str(exc), line_no) from None
+            if isinstance(el, BeamSplitter) and el.name:
+                if el.name in splitter_names:
+                    raise CircuitParseError(f"duplicate beam splitter name {el.name!r}", line_no)
+                splitter_names.add(el.name)
             (post if seen_marker else pre).append(el)
         elif word == "postselection":
             if len(parts) != 1:

@@ -6,6 +6,7 @@ and malformed input, 3 degenerate/infeasible/vacuous/anomalous/calibration,
 must produce byte-identical stdout.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -13,15 +14,13 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
-from click.testing import CliRunner
 
 import cheshire as ch
 from cheshire import optics
 from cheshire.cli import _execute, _render_rows, main, parse_scenario_id
-
-runner = CliRunner()
 
 GOOD_PROBLEM = """\
 photons 2
@@ -46,8 +45,18 @@ target path:1:L 0 0
 """
 
 
+class CliResult(NamedTuple):
+    exit_code: int
+    output: str  # stdout
+    stderr: str
+
+
 def run_cli(*args):
-    return runner.invoke(main, list(args))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as stop:
+            main(list(args))
+    return CliResult(stop.value.code, out.getvalue(), err.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +149,27 @@ def test_tolerance_must_be_finite(tol):
 
 def test_unknown_format_rejected():
     assert run_cli("--format", "yaml", "scenario", "two-cat").exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args,code",
+    [
+        (("--form", "csv", "scenario", "two-cat"), 2),  # no abbreviated options
+        ((), 2),
+        (("scenario",), 2),
+        (("scenario", "two-cat", "extra"), 2),
+        (("bogus",), 2),
+        (("--format",), 2),
+        (("--help",), 0),
+        (("scenario", "-h"), 0),
+        (("solve", "-h"), 0),
+        (("circuit", "-h"), 0),
+        (("pointer", "-h"), 0),
+        (("--seed", "3", "--seed", "4", "scenario", "two-cat"), 0),  # the last value wins
+    ],
+)
+def test_usage_exit_codes(args, code):
+    assert run_cli(*args).exit_code == code
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +375,11 @@ def test_circuit_malformed_file_exits_two(tmp_path):
         ("element hwp photon=1 arm=L adjustable", "unknown flag 'adjustable'"),
         ("element bs in_a=L,R in_b=R,L t=1 r=0 adjustible", "unknown flag 'adjustible'"),
         ("element pbs photon=1 ports=L,R bogus=3", "unknown key 'bogus'"),
+        ("element bs name=BS1 in_a=x1,x2 in_b=y1,y2 t=1 r=0", "duplicate beam splitter name 'BS1'"),
     ],
     ids=["detector-photon-7", "detector-photon-0", "second-postselect-on", "detector-label-plus",
-         "element-photon-0", "pbs-same-ports", "plate-flag", "bs-misspelt-flag", "pbs-unknown-key"],
+         "element-photon-0", "pbs-same-ports", "plate-flag", "bs-misspelt-flag", "pbs-unknown-key",
+         "bs-duplicate-name"],
 )
 def test_circuit_bad_extra_line_exits_two(tmp_path, extra, message):
     lines = Path(optics.builtin_circuit_path()).read_text(encoding="utf-8").splitlines()
@@ -544,10 +576,10 @@ def probe_imports(*args):
 @pytest.mark.parametrize(
     "args,absent",
     [
-        (("--help",), ("numpy", "cheshire.optics", "cheshire.solver")),
-        (("scenario", "two-cat"), ("numpy", "cheshire.optics", "cheshire.solver")),
-        (("circuit", "BUILTIN", "--emit", "probs"), ("numpy", "cheshire.solver")),
-        (("circuit", "BUILTIN", "--emit", "conditional-state"), ("numpy", "cheshire.solver")),
+        (("--help",), ("numpy", "cheshire.optics", "cheshire.solver", "click")),
+        (("scenario", "two-cat"), ("numpy", "cheshire.optics", "cheshire.solver", "click")),
+        (("circuit", "BUILTIN", "--emit", "probs"), ("numpy", "cheshire.solver", "click")),
+        (("circuit", "BUILTIN", "--emit", "conditional-state"), ("numpy", "cheshire.solver", "click")),
     ],
 )
 def test_sparse_subcommands_load_no_numpy(args, absent):
@@ -564,7 +596,9 @@ def test_numpy_subcommands_still_run(tmp_path):
         ("pointer", "two-cat", "grin:1:R"),
         ("circuit", builtin(), "--emit", "counts", "--shots", "100"),
     ):
-        assert probe_imports(*args)["code"] == 0, args
+        result = probe_imports(*args)
+        assert result["code"] == 0, args
+        assert "click" not in result["modules"], args
 
 
 # ---------------------------------------------------------------------------

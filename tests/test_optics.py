@@ -12,6 +12,7 @@ import dataclasses
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -688,6 +689,44 @@ def test_plus_in_detector_label_is_refused():
         optics.parse_circuit(PLUS_LABEL_CIRCUIT)
     assert err.value.line_no == 6
     assert "'+'" in str(err.value)
+
+
+def device_text_with(old: str, new: str) -> str:
+    text = Path(optics.builtin_circuit_path()).read_text(encoding="utf-8")
+    assert old in text
+    return text.replace(old, new)
+
+
+def test_duplicate_splitter_name_is_refused_by_the_parser():
+    """Calibration reports settings by name: a second BS1 would hide the first one's setting."""
+    text = device_text_with("name=BS2", "name=BS1")
+    line = next(i for i, raw in enumerate(text.splitlines(), 1) if "in_a=w1,w2" in raw)
+    with pytest.raises(CircuitParseError) as err:
+        optics.parse_circuit(text)
+    assert err.value.line_no == line
+    assert "duplicate beam splitter name 'BS1'" in str(err.value)
+
+
+def test_duplicate_splitter_name_fails_at_construction():
+    circ = ch.two_cat_device()
+    named = [el for el in circ.post_elements if isinstance(el, optics.BeamSplitter)]
+    renamed = tuple(
+        dataclasses.replace(el, name="BS1") if el is named[1] else el for el in circ.post_elements
+    )
+    with pytest.raises(CircuitConfigError):
+        dataclasses.replace(circ, post_elements=renamed)
+    # across the blocks: a BS1 before the marker and the device's BS1 after it
+    early = dataclasses.replace(named[0], adjustable=False)
+    with pytest.raises(CircuitConfigError):
+        dataclasses.replace(circ, pre_elements=circ.pre_elements + (early,))
+
+
+def test_unnamed_splitters_may_repeat():
+    text = device_text_with("name=BS1 ", "").replace("name=BS2 ", "")
+    circ = optics.parse_circuit(text)
+    result = ch.calibrate_postselection(circ, ch.two_cat().post)
+    assert len(result.settings) == 3
+    assert "BS3" in result.settings
 
 
 def test_parse_circuit_file_missing(tmp_path):

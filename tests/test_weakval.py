@@ -196,10 +196,12 @@ def test_report_json_parses():
 
 
 def test_observable_descriptor_forms():
-    assert ch.observable_from_descriptor(C2, "path:1:L").column(4) == {4: 1.0}
-    assert ch.observable_from_descriptor(C1, "id").column(2) == {2: 1.0}
+    path = ch.observable_from_descriptor(C2, "path:1:L")
+    assert ch.apply(path, ch.make_ket(C2, {4: 1})).amplitudes == {4: 1.0}
+    identity = ch.observable_from_descriptor(C1, "id")
+    assert ch.apply(identity, ch.make_ket(C1, {2: 1})).amplitudes == {2: 1.0}
     sigma = ch.observable_from_descriptor(C1, "sigma:1")
-    assert sigma.column(0) == {1: 1j}
+    assert ch.apply(sigma, ch.make_ket(C1, {0: 1})).amplitudes == {1: 1j}
     with pytest.raises(InputError):
         ch.observable_from_descriptor(C1, "path:1")
     with pytest.raises(InputError):
