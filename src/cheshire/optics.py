@@ -2,15 +2,18 @@
 
 States are sparse maps from a configuration, one (mode, polarization) pair
 per photon, to a complex amplitude. Spatial modes are free-form identifiers
-(L, R, w1, ...); polarization is H or V. Three element classes act
-unitarily on their addressed subspace:
+(L, R, w1, ...); polarization is H or V. The initial state is the
+circuit's source. Two element classes act unitarily on their addressed
+subspace:
 
-* `Pbs` on ports (a, b): H stays on its port, V swaps ports (self-inverse).
-* `Plate` on one photon's arm: a 2x2 Jones matrix on its polarization,
-  matrix[row][col] taking polarization col to row (H = 0, V = 1); other
-  arms pass unchanged. The file's `hwp` swaps H and V, `hadamard` is
+* `Coupler` on two (mode, pol) ports of one photon: a 2x2 unitary,
+  matrix[row][col] taking port col to port row; every other port passes
+  unchanged. A wave plate couples (arm, H) and (arm, V) with its Jones
+  matrix: the file's `hwp` swaps H and V, `hadamard` is
   (1/sqrt 2)[[1, 1], [1, -1]], `phase shift=phi` is e^{i phi} times the
-  identity and `mirror` is the identity.
+  identity and `mirror` is the identity. A polarizing splitter `pbs` on
+  ports (a, b) swaps (a, V) and (b, V) with the hwp matrix, so H stays on
+  its port and V changes ports.
 * `BeamSplitter` on a pair of joint path configurations (one mode per
   photon): the 2x2 unitary [[t, -conj(r)], [r, conj(t)]] applied
   identically across polarization blocks, with |t|^2 + |r|^2 = 1. The 50:50
@@ -75,6 +78,7 @@ OpticsState = dict[Config, complex]
 
 _POLS = ("H", "V")
 _BLOCK = 4096
+CALIBRATION_THRESHOLD = 1e-10  # largest residual calibrate_postselection accepts
 _PLUS_LABEL = "contains '+', which joins the labels of a coincidence pattern"
 
 
@@ -83,31 +87,25 @@ _PLUS_LABEL = "contains '+', which joins the labels of a coincidence pattern"
 
 
 @dataclass(frozen=True)
-class Pbs:
-    """Polarizing splitter: H transmits (stays on its port), V reflects (swaps)."""
+class Coupler:
+    """2x2 unitary between two (mode, pol) ports of one photon; other ports pass unchanged.
+    A wave plate's matrix is its Jones matrix (Jones, JOSA 31, 488, 1941)."""
 
     photon: int
-    ports: tuple[str, str]
-
-    def __post_init__(self):
-        if self.ports[0] == self.ports[1]:
-            raise InputError(f"polarizing splitter on photon {self.photon} needs two distinct ports")
-
-
-@dataclass(frozen=True)
-class Plate:
-    """Jones matrix on one photon's polarization in one arm (Jones, JOSA 31, 488, 1941)."""
-
-    photon: int
-    arm: str
+    ports: tuple[tuple[str, str], tuple[str, str]]
     matrix: tuple[tuple[complex, complex], tuple[complex, complex]]
 
     def __post_init__(self):
+        for mode, pol in self.ports:
+            if not mode or pol not in _POLS:
+                raise InputError(f"coupler port ({mode!r}, {pol!r}) needs a mode and pol H or V")
+        if self.ports[0] == self.ports[1]:
+            raise InputError(f"coupler on photon {self.photon} needs two distinct ports")
         (a, b), (c, d) = self.matrix
         defect = max(abs(abs(a) ** 2 + abs(c) ** 2 - 1), abs(abs(b) ** 2 + abs(d) ** 2 - 1),
                      abs(a.conjugate() * b + c.conjugate() * d))
         if defect > 1e-12:
-            raise InputError(f"plate on arm {self.arm!r}: matrix {self.matrix} is not unitary")
+            raise InputError(f"coupler on ports {self.ports}: matrix {self.matrix} is not unitary")
 
 
 @dataclass(frozen=True)
@@ -133,12 +131,13 @@ class BeamSplitter:
             raise InputError(f"beam splitter {self.name!r} needs two distinct port configurations")
 
 
-Element = Pbs | Plate | BeamSplitter
+Element = Coupler | BeamSplitter
 
 _INV_SQRT2 = 1 / math.sqrt(2)
+_SWAP = ((0.0, 1.0), (1.0, 0.0))
 # constant plates of the circuit file; `phase` builds its matrix from shift=
 _PLATES = {
-    "hwp": ((0.0, 1.0), (1.0, 0.0)),
+    "hwp": _SWAP,
     "hadamard": ((_INV_SQRT2, _INV_SQRT2), (_INV_SQRT2, -_INV_SQRT2)),
     "mirror": ((1.0, 0.0), (0.0, 1.0)),
 }
@@ -149,35 +148,25 @@ _PLATES = {
 
 
 @dataclass(frozen=True)
-class SpdcSource:
-    modes: tuple[str, str]
-
-
-@dataclass(frozen=True)
-class KetSource:
-    paths: tuple[str, ...]
-    pols: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class Circuit:
+    """A parsed circuit file. `source` is the initial OpticsState: the spdc
+    pair's two configurations, or the one configuration of a ket source."""
+
     n_photons: int
-    source: SpdcSource | KetSource
+    source: OpticsState
     pre_elements: tuple[Element, ...]
     post_elements: tuple[Element, ...]
     detectors: dict[tuple[int, str, str], str]
     postselect_on: str
 
     def __post_init__(self):
-        """Source, elements and detectors must all address photons 1..n_photons with H/V pols."""
+        """A normalized source; source, elements and detectors address photons 1..n with H/V pols."""
         n = self.n_photons
-        if isinstance(self.source, SpdcSource):
-            if n != 2:
-                raise CircuitConfigError(f"an spdc source emits 2 photons, not {n}")
-        elif len(self.source.paths) != n or len(self.source.pols) != n:
-            raise CircuitConfigError(f"ket source {self.source} does not list one path and pol per photon")
-        elif not all(p in _POLS for p in self.source.pols):
-            raise CircuitConfigError(f"ket source pols {self.source.pols} must be H or V")
+        for config in self.source:
+            if len(config) != n or any(len(port) != 2 or port[1] not in _POLS for port in config):
+                raise CircuitConfigError(f"source configuration {config} needs one (mode, H/V) per photon")
+        if abs(sum(abs(a) ** 2 for a in self.source.values()) - 1.0) > 1e-12:
+            raise CircuitConfigError(f"source state {self.source} is not normalized")
         for (photon, mode, pol), label in self.detectors.items():
             if not 1 <= photon <= n or pol not in _POLS:
                 raise CircuitConfigError(f"detector port photon={photon} mode={mode} pol={pol} is invalid")
@@ -199,18 +188,6 @@ class Circuit:
             else:
                 if not 1 <= el.photon <= n:
                     raise CircuitConfigError(f"element {el} addresses a missing photon")
-
-
-def _initial_state(circuit: Circuit) -> OpticsState:
-    if isinstance(circuit.source, SpdcSource):
-        m1, m2 = circuit.source.modes
-        inv = 1 / math.sqrt(2)
-        return {
-            ((m1, "H"), (m2, "V")): inv + 0j,
-            ((m1, "V"), (m2, "H")): inv + 0j,
-        }
-    pairs = tuple(zip(circuit.source.paths, circuit.source.pols))
-    return {pairs: 1.0 + 0j}
 
 
 # ---------------------------------------------------------------------------
@@ -245,27 +222,23 @@ def apply_element(state: OpticsState, element: Element) -> OpticsState:
                     )
             out[cfg_a] = out.get(cfg_a, 0j) + t * a_in - r.conjugate() * b_in
             out[cfg_b] = out.get(cfg_b, 0j) + r * a_in + t.conjugate() * b_in
-    elif kind is Pbs:
-        i = element.photon - 1
-        a, b = element.ports
+    elif kind is Coupler:
+        i, (p, q) = element.photon - 1, element.ports
+        (a, b), (c, d) = element.matrix
+        # each column of the matrix as its nonzero (row port, entry) pairs
+        col_p = [(row_port, e) for row_port, e in ((p, a), (q, c)) if e]
+        col_q = [(row_port, e) for row_port, e in ((p, b), (q, d)) if e]
         for config, amp in state.items():
-            mode, pol = config[i]
-            if pol == "V" and mode == a:
-                config = config[:i] + ((b, pol),) + config[i + 1 :]
-            elif pol == "V" and mode == b:
-                config = config[:i] + ((a, pol),) + config[i + 1 :]
-            out[config] = out.get(config, 0j) + amp
-    elif kind is Plate:
-        i, arm = element.photon - 1, element.arm
-        # each column of the matrix as its nonzero (row pol, entry) pairs
-        columns = [[(p, row[col]) for p, row in zip(_POLS, element.matrix) if row[col]] for col in (0, 1)]
-        for config, amp in state.items():
-            mode, pol = config[i]
-            if mode != arm:
+            port = config[i]
+            if port == p:
+                column = col_p
+            elif port == q:
+                column = col_q
+            else:
                 out[config] = out.get(config, 0j) + amp
                 continue
-            for row_pol, entry in columns[0 if pol == "H" else 1]:
-                cfg = config if row_pol == pol else config[:i] + ((mode, row_pol),) + config[i + 1 :]
+            for row_port, entry in column:
+                cfg = config if row_port == port else config[:i] + (row_port,) + config[i + 1 :]
                 out[cfg] = out.get(cfg, 0j) + entry * amp
     else:
         raise InputError(f"unknown element {element!r}")
@@ -280,23 +253,21 @@ def propagate(state: OpticsState, elements: Iterable[Element]) -> OpticsState:
 
 def _adjoint(element: Element) -> Element:
     """Element whose action is the inverse of the given one."""
-    if isinstance(element, Plate):
+    if isinstance(element, Coupler):
         (a, b), (c, d) = element.matrix
         dagger = ((a.conjugate(), c.conjugate()), (b.conjugate(), d.conjugate()))
-        # hwp, hadamard and mirror plates are Hermitian, hence their own inverse
-        return element if dagger == element.matrix else Plate(element.photon, element.arm, dagger)
-    if isinstance(element, BeamSplitter):
-        return BeamSplitter(
-            element.out_a,
-            element.out_b,
-            element.in_a,
-            element.in_b,
-            element.t.conjugate(),
-            -element.r,
-            element.name + "^-1",
-            element.adjustable,
-        )
-    return element  # a PBS is self-inverse
+        # pbs, hwp, hadamard and mirror are Hermitian, hence their own inverse
+        return element if dagger == element.matrix else replace(element, matrix=dagger)
+    return BeamSplitter(
+        element.out_a,
+        element.out_b,
+        element.in_a,
+        element.in_b,
+        element.t.conjugate(),
+        -element.r,
+        element.name + "^-1",
+        element.adjustable,
+    )
 
 
 def state_to_ket(state: OpticsState, n_photons: int) -> Ket:
@@ -329,7 +300,7 @@ def ket_to_state(ket: Ket) -> OpticsState:
 
 def run_pre_block(circuit: Circuit) -> Ket:
     """Source through the pre-selection block, as a labeled-basis ket."""
-    state = propagate(_initial_state(circuit), circuit.pre_elements)
+    state = propagate(circuit.source, circuit.pre_elements)
     return state_to_ket(state, circuit.n_photons)
 
 
@@ -381,7 +352,7 @@ class ClickRecord:
 
 def run_exact(circuit: Circuit) -> ExactResult:
     """Propagate exactly and group the final state by coincidence pattern."""
-    state = propagate(_initial_state(circuit), circuit.pre_elements)
+    state = propagate(circuit.source, circuit.pre_elements)
     state = propagate(state, circuit.post_elements)
     grouped: dict[str, OpticsState] = {}
     for config, amp in state.items():
@@ -487,15 +458,9 @@ def _mode_images(element: Element, modes: tuple[str, ...]) -> set[tuple[str, ...
         if modes in (element.in_a, element.in_b):
             return {element.out_a, element.out_b}
         return {modes}
-    if isinstance(element, Pbs):
-        i = element.photon - 1
-        a, b = element.ports
-        images = {modes}
-        if modes[i] == a:
-            images.add(modes[:i] + (b,) + modes[i + 1 :])
-        elif modes[i] == b:
-            images.add(modes[:i] + (a,) + modes[i + 1 :])
-        return images
+    i, ((a, _), (b, _)) = element.photon - 1, element.ports
+    if modes[i] in (a, b):
+        return {modes[:i] + (mode,) + modes[i + 1 :] for mode in (a, b)}
     return {modes}
 
 
@@ -534,9 +499,7 @@ def _null_direction(alpha: list[complex], beta: list[complex]) -> tuple[complex,
     return x0 * phase, x1 * phase
 
 
-def calibrate_postselection(
-    circuit: Circuit, target_post: Ket, threshold: float = 1e-10
-) -> CalibrationResult:
+def calibrate_postselection(circuit: Circuit, target_post: Ket) -> CalibrationResult:
     """Retune the adjustable splitters so the success port realizes the target.
 
     The success functional after the block is the success-port bra composed
@@ -553,7 +516,7 @@ def calibrate_postselection(
     residual 1 - |<success|block|target>|. If every direction is optimal
     (zero blocks, or orthogonal blocks of equal norm), t = 1 and r = 0.
     Raises the calibration error, carrying the best residual, if the
-    threshold is not met.
+    residual exceeds CALIBRATION_THRESHOLD (1e-10).
     """
     if not any(isinstance(e, BeamSplitter) and e.adjustable for e in circuit.post_elements):
         raise InputError("circuit has no adjustable beam splitter to calibrate")
@@ -602,9 +565,9 @@ def calibrate_postselection(
         residual=residual,
         settings=settings,
     )
-    if residual > threshold:
+    if residual > CALIBRATION_THRESHOLD:
         raise CalibrationError(
-            f"calibration residual {residual} exceeds threshold {threshold}", residual
+            f"calibration residual {residual} exceeds threshold {CALIBRATION_THRESHOLD}", residual
         )
     return result
 
@@ -637,6 +600,8 @@ def _split_kv(
             raise CircuitParseError(f"unknown key {key!r}", line_no)
         elif key in kv:
             raise CircuitParseError(f"duplicate key {key!r}", line_no)
+        elif not value:
+            raise CircuitParseError(f"empty value for {key!r}", line_no)
         else:
             kv[key] = value
     return kv, flags
@@ -667,7 +632,7 @@ def _modes_tuple(text: str, n: int, line_no: int) -> tuple[str, ...]:
 
 def parse_circuit(text: str) -> Circuit:
     n_photons: int | None = None
-    source: SpdcSource | KetSource | None = None
+    source: OpticsState | None = None
     pre: list[Element] = []
     post: list[Element] = []
     seen_marker = False
@@ -702,14 +667,14 @@ def parse_circuit(text: str) -> Circuit:
             if parts[1] == "spdc":
                 if n_photons != 2:
                     raise CircuitParseError("spdc source requires photons 2", line_no)
-                modes = _modes_tuple(_need(kv, "modes", line_no), 2, line_no)
-                source = SpdcSource(modes)
+                m1, m2 = _modes_tuple(_need(kv, "modes", line_no), 2, line_no)
+                source = {((m1, "H"), (m2, "V")): _INV_SQRT2 + 0j, ((m1, "V"), (m2, "H")): _INV_SQRT2 + 0j}
             else:
                 paths = _modes_tuple(_need(kv, "path", line_no), n_photons, line_no)
                 pols = _modes_tuple(_need(kv, "pol", line_no), n_photons, line_no)
                 if not all(p in _POLS for p in pols):
                     raise CircuitParseError("pol entries must be H or V", line_no)
-                source = KetSource(paths, pols)
+                source = {tuple(zip(paths, pols)): 1.0 + 0j}
         elif word == "element":
             if len(parts) < 2:
                 raise CircuitParseError("element needs a kind", line_no)
@@ -720,16 +685,18 @@ def parse_circuit(text: str) -> Circuit:
             kv, flags = _split_kv(parts[2:], _ELEMENT_KEYS[kind], line_no, flags_known)
             try:
                 if kind == "pbs":
-                    ports = _modes_tuple(_need(kv, "ports", line_no), 2, line_no)
-                    el: Element = Pbs(_photon(kv, n_photons, "element", line_no), ports)
+                    a, b = _modes_tuple(_need(kv, "ports", line_no), 2, line_no)
+                    photon = _photon(kv, n_photons, "element", line_no)
+                    el: Element = Coupler(photon, ((a, "V"), (b, "V")), _SWAP)
                 elif kind in _PLATES or kind == "phase":
                     photon, arm = _photon(kv, n_photons, "element", line_no), _need(kv, "arm", line_no)
                     if kind == "phase":
                         shift = parse_real(_need(kv, "shift", line_no))
                         e = complex(math.cos(shift), math.sin(shift))
-                        el = Plate(photon, arm, ((e, 0j), (0j, e)))
+                        matrix = ((e, 0j), (0j, e))
                     else:
-                        el = Plate(photon, arm, _PLATES[kind])
+                        matrix = _PLATES[kind]
+                    el = Coupler(photon, ((arm, "H"), (arm, "V")), matrix)
                 else:
                     in_a = _modes_tuple(_need(kv, "in_a", line_no), n_photons, line_no)
                     in_b = _modes_tuple(_need(kv, "in_b", line_no), n_photons, line_no)

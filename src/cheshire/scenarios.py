@@ -142,8 +142,6 @@ def _photon_pattern(odd: bool) -> dict[tuple[str, str], int]:
 def expected_pattern(scenario: ScenarioId) -> dict[tuple[str, int, str], int]:
     """The 0/1 delta pattern of weak values, as a pure lookup."""
     n = scenario.n_photons
-    if scenario.kind == "n_cat" and n < 2:
-        raise InputError(f"n_cat requires n >= 2, got {n}")
     pattern: dict[tuple[str, int, str], int] = {}
     for photon in range(1, n + 1):
         per = _photon_pattern(odd=(photon % 2 == 1))

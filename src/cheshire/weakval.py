@@ -45,6 +45,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 OVERLAP_THRESHOLD = 1e-10
+FLAG_TOL = 1e-12  # to_table flags a weak value within this distance of 0 or 1
 # pointer readout: Krylov residual, relative to the largest |O v| seen
 _KRYLOV_TOL = 1e-12
 
@@ -111,20 +112,17 @@ class WeakValueReport:
     entries: dict[tuple[str, int, str], complex]
     overlap: complex
 
-    def value(self, kind: str, photon: int, arm: str) -> complex:
-        return self.entries[(kind, photon, arm)]
-
     def rows(self) -> list[tuple[int, str, str, float, float]]:
         return [(p, k, a, v.real, v.imag) for (k, p, a), v in self.entries.items()]
 
-    def to_table(self, flag_tol: float = 1e-12) -> str:
+    def to_table(self) -> str:
         lines = [f"{'photon':>6}  {'kind':<5} {'arm':<3} {'Re':>18} {'Im':>18}  flag"]
         for photon, kind, arm, re, im in self.rows():
             flag = ""
-            if abs(im) <= flag_tol:
-                if abs(re) <= flag_tol:
+            if abs(im) <= FLAG_TOL:
+                if abs(re) <= FLAG_TOL:
                     flag = "=0"
-                elif abs(re - 1.0) <= flag_tol:
+                elif abs(re - 1.0) <= FLAG_TOL:
                     flag = "=1"
             lines.append(f"{photon:>6}  {kind:<5} {arm:<3} {re:>18.12g} {im:>18.12g}  {flag}")
         lines.append(

@@ -376,10 +376,13 @@ def test_circuit_malformed_file_exits_two(tmp_path):
         ("element bs in_a=L,R in_b=R,L t=1 r=0 adjustible", "unknown flag 'adjustible'"),
         ("element pbs photon=1 ports=L,R bogus=3", "unknown key 'bogus'"),
         ("element bs name=BS1 in_a=x1,x2 in_b=y1,y2 t=1 r=0", "duplicate beam splitter name 'BS1'"),
+        ("element hwp photon=1 arm=", "empty value for 'arm'"),
+        ("detector D9 photon=1 mode= pol=H", "empty value for 'mode'"),
+        ("element bs name= in_a=x1,x2 in_b=y1,y2 t=1 r=0", "empty value for 'name'"),
     ],
     ids=["detector-photon-7", "detector-photon-0", "second-postselect-on", "detector-label-plus",
          "element-photon-0", "pbs-same-ports", "plate-flag", "bs-misspelt-flag", "pbs-unknown-key",
-         "bs-duplicate-name"],
+         "bs-duplicate-name", "plate-empty-arm", "detector-empty-mode", "bs-empty-name"],
 )
 def test_circuit_bad_extra_line_exits_two(tmp_path, extra, message):
     lines = Path(optics.builtin_circuit_path()).read_text(encoding="utf-8").splitlines()
@@ -398,6 +401,46 @@ def test_circuit_csv_quotes_fields_holding_commas():
     assert rows[0] == ["config", "re", "im"]
     assert [row[0] for row in rows[1:]] == ["R,H;L,H"]
     assert all(len(row) == 3 for row in rows)
+
+
+# The bundled device's exact output, byte for byte. `--emit counts` is left
+# out: its values follow the sampler, not the optics.
+PINNED_CIRCUIT_OUTPUT = {
+    ("probs", "table"): """\
+pattern  probability
+D1       0.3125
+D2+D5    0.125
+D4+D5    0.125
+D5       0.166666666667
+D6       0.270833333333
+""",
+    ("conditional-state", "csv"): """\
+config,re,im
+"R,H;L,H",-1,-6.79869977755e-17
+# pattern D5
+# probability 0.166666666667
+""",
+    ("conditional-state", "json"): """\
+{
+  "pattern": "D5",
+  "probability": 0.16666666666666657,
+  "rows": [
+    {
+      "config": "R,H;L,H",
+      "im": -6.798699777552594e-17,
+      "re": -1.0
+    }
+  ]
+}
+""",
+}
+
+
+@pytest.mark.parametrize("emit,fmt", list(PINNED_CIRCUIT_OUTPUT))
+def test_circuit_output_is_pinned(emit, fmt):
+    result = run_cli("--format", fmt, "circuit", builtin(), "--emit", emit)
+    assert result.exit_code == 0
+    assert result.output == PINNED_CIRCUIT_OUTPUT[(emit, fmt)]
 
 
 def test_csv_quoting_round_trips_through_csv_reader():

@@ -58,7 +58,7 @@ def toy_circuit(text: str) -> ch.Circuit:
 
 
 def test_pbs_routes_and_is_self_inverse():
-    pbs = optics.Pbs(1, ("L", "R"))
+    pbs = optics.Coupler(1, (("L", "V"), ("R", "V")), HWP)
     state = {(("L", "H"),): 0.6 + 0j, (("L", "V"),): 0.8j}
     once = optics.apply_element(state, pbs)
     assert once == {(("L", "H"),): 0.6 + 0j, (("R", "V"),): 0.8j}
@@ -68,18 +68,28 @@ def test_pbs_routes_and_is_self_inverse():
 
 def test_pbs_rejects_identical_ports():
     with pytest.raises(InputError):
-        optics.Pbs(1, ("L", "L"))
+        optics.Coupler(1, (("L", "V"), ("L", "V")), HWP)
+
+
+@pytest.mark.parametrize(
+    "ports",
+    [(("", "H"), ("", "V")), (("L", "H"), ("L", "D")), (("L", "V"), ("R", ""))],
+    ids=["empty-mode", "pol-D", "empty-pol"],
+)
+def test_coupler_rejects_malformed_ports(ports):
+    with pytest.raises(InputError):
+        optics.Coupler(1, ports, HWP)
 
 
 def test_hwp_swaps_polarization_on_its_arm_only():
-    hwp = optics.Plate(1, "R", HWP)
+    hwp = optics.Coupler(1, (("R", "H"), ("R", "V")), HWP)
     state = {(("L", "H"),): 0.5 + 0j, (("R", "H"),): 0.5 + 0j, (("R", "V"),): 0.5j}
     out = optics.apply_element(state, hwp)
     assert out == {(("L", "H"),): 0.5 + 0j, (("R", "V"),): 0.5 + 0j, (("R", "H"),): 0.5j}
 
 
 def test_hadamard_plate_action_and_self_inverse():
-    had = optics.Plate(1, "L", HADAMARD)
+    had = optics.Coupler(1, (("L", "H"), ("L", "V")), HADAMARD)
     h_in = {(("L", "H"),): 1.0 + 0j}
     out = optics.apply_element(h_in, had)
     assert out[(("L", "H"),)] == pytest.approx(1 / SQ2)
@@ -90,7 +100,7 @@ def test_hadamard_plate_action_and_self_inverse():
 
 
 def test_phase_shifter_on_arm_only():
-    ps = optics.Plate(1, "L", phase_matrix(math.pi / 2))
+    ps = optics.Coupler(1, (("L", "H"), ("L", "V")), phase_matrix(math.pi / 2))
     state = {(("L", "H"),): 1 / SQ2 + 0j, (("R", "H"),): 1 / SQ2 + 0j}
     out = optics.apply_element(state, ps)
     assert out[(("L", "H"),)] == pytest.approx(1j / SQ2)
@@ -145,41 +155,44 @@ def test_tuned_bs_orthogonal_input_exits_other_port():
 
 def test_mirror_is_identity():
     state = {(("L", "H"),): 1j}
-    assert optics.apply_element(state, optics.Plate(1, "L", IDENTITY)) == state
+    mirror = optics.Coupler(1, (("L", "H"), ("L", "V")), IDENTITY)
+    assert optics.apply_element(state, mirror) == state
 
 
 def test_plate_rejects_non_unitary_matrix():
     with pytest.raises(InputError):
-        optics.Plate(1, "L", ((1, 1), (0, 1)))
+        optics.Coupler(1, (("L", "H"), ("L", "V")), ((1, 1), (0, 1)))
 
 
 @pytest.mark.parametrize(
-    "directive,matrix",
+    "directive,ports,matrix",
     [
-        ("hwp", HWP),
-        ("hadamard", HADAMARD),
-        ("phase shift=pi/3", phase_matrix(math.pi / 3)),
-        ("mirror", IDENTITY),
+        ("hwp arm=L", (("L", "H"), ("L", "V")), HWP),
+        ("hadamard arm=L", (("L", "H"), ("L", "V")), HADAMARD),
+        ("phase arm=L shift=pi/3", (("L", "H"), ("L", "V")), phase_matrix(math.pi / 3)),
+        ("mirror arm=L", (("L", "H"), ("L", "V")), IDENTITY),
+        ("pbs ports=L,R", (("L", "V"), ("R", "V")), HWP),
     ],
+    ids=["hwp", "hadamard", "phase", "mirror", "pbs"],
 )
-def test_one_arm_directives_parse_to_plates(directive, matrix):
+def test_single_photon_directives_parse_to_couplers(directive, ports, matrix):
     kind, *extra = directive.split()
     circ = toy_circuit(
-        f"photons 1\nsource ket path=L pol=H\nelement {kind} photon=1 arm=L {' '.join(extra)}\n"
+        f"photons 1\nsource ket path=L pol=H\nelement {kind} photon=1 {' '.join(extra)}\n"
         "detector D1 photon=1 mode=L pol=H\ndetector D1 photon=1 mode=L pol=V\npostselect-on D1\n"
     )
-    assert circ.post_elements == (optics.Plate(1, "L", matrix),)
+    assert circ.post_elements == (optics.Coupler(1, ports, matrix),)
 
 
 def test_adjoint_of_phase_plate_is_the_opposite_shift():
-    plate = optics.Plate(2, "L", phase_matrix(0.7))
-    assert optics._adjoint(plate) == optics.Plate(2, "L", phase_matrix(-0.7))
+    plate = optics.Coupler(2, (("L", "H"), ("L", "V")), phase_matrix(0.7))
+    assert optics._adjoint(plate) == optics.Coupler(2, (("L", "H"), ("L", "V")), phase_matrix(-0.7))
 
 
 def test_circuit_with_missing_photon_fails_at_construction():
     with pytest.raises(CircuitConfigError):
         optics.Circuit(
-            1, optics.KetSource(("L",), ("H",)), (), (optics.Plate(2, "L", HWP),),
+            1, {(("L", "H"),): 1.0 + 0j}, (), (optics.Coupler(2, (("L", "H"), ("L", "V")), HWP),),
             {(1, "L", "H"): "D1"}, "D1",
         )
 
@@ -187,16 +200,19 @@ def test_circuit_with_missing_photon_fails_at_construction():
 @pytest.mark.parametrize(
     "change",
     [
-        {"source": optics.KetSource(("L",), ("H",))},
-        {"source": optics.KetSource(("L", "R"), ("H",))},
-        {"source": optics.KetSource(("L", "R"), ("H", "D"))},
+        {"source": {(("L", "H"),): 1.0 + 0j}},
+        {"source": {(("L", "H"), ("R",)): 1.0 + 0j}},
+        {"source": {(("L", "H"), ("R", "D")): 1.0 + 0j}},
+        {"source": {(("L", "H"), ("R", "H")): 0.5 + 0j}},
+        {"source": {}},
         {"n_photons": 3, "pre_elements": (), "post_elements": (), "detectors": {(1, "L", "H"): "D5"}},
         {"detectors": {(3, "L", "H"): "D5"}},
         {"detectors": {(0, "L", "H"): "D5"}},
         {"detectors": {(1, "L", "X"): "D5"}},
         {"detectors": {(1, "R", "H"): "D5", (2, "L", "H"): "D5", (1, "L", "H"): "D1+D2"}},
     ],
-    ids=["ket-short", "ket-pols-short", "ket-bad-pol", "spdc-three-photons",
+    ids=["ket-short", "ket-pols-short", "ket-bad-pol", "source-unnormalized", "source-empty",
+         "spdc-three-photons",
          "detector-photon-high", "detector-photon-zero", "detector-bad-pol", "detector-label-plus"],
 )
 def test_bad_source_or_detector_fails_at_construction(change):
@@ -348,7 +364,7 @@ def test_probability_conservation_random_sources():
     for _ in range(100):
         paths = tuple(str(p) for p in rng.choice(["L", "R"], size=2))
         pols = tuple(str(p) for p in rng.choice(["H", "V"], size=2))
-        circ = dataclasses.replace(base, source=optics.KetSource(paths, pols))
+        circ = dataclasses.replace(base, source={tuple(zip(paths, pols)): 1.0 + 0j})
         total = sum(ch.run_exact(circ).probabilities().values())
         assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -366,6 +382,17 @@ def detuned_device() -> ch.Circuit:
         else:
             post.append(el)
     return dataclasses.replace(circ, post_elements=tuple(post))
+
+
+@pytest.mark.parametrize("device", [ch.two_cat_device, detuned_device], ids=["bundled", "detuned"])
+def test_adjoint_undoes_every_element_of_the_device(device):
+    """Each element's adjoint returns the state the device feeds into it."""
+    circ = device()
+    state = circ.source
+    for element in circ.pre_elements + circ.post_elements:
+        back = optics.apply_element(optics.apply_element(state, element), optics._adjoint(element))
+        assert max(abs(back.get(c, 0j) - state.get(c, 0j)) for c in set(back) | set(state)) <= 1e-15
+        state = optics.apply_element(state, element)
 
 
 def test_calibration_recovers_shipped_settings():
@@ -619,6 +646,9 @@ def test_exact_and_calibration_paths_load_no_numpy():
         ("photons 1\nsource ket path=L pol=H\ndetector D1 photon=1 mode=L pol=H label=x\n", 3),
         ("photons 1\npostselection now\n", 2),
         ("photons 1\nsource ket path=L pol=H\ndetector D1+D2 photon=1 mode=L pol=H\n", 3),  # '+' label
+        ("photons 1\nelement hwp photon=1 arm=\n", 2),  # empty values
+        ("photons 1\nsource ket path=L pol=H\ndetector D1 photon=1 mode= pol=H\n", 3),
+        ("photons 1\nelement bs name= in_a=L in_b=R t=1 r=0\n", 2),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
