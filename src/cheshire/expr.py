@@ -1,142 +1,72 @@
-"""Tiny arithmetic expression parser for file formats and CLI parameters.
+"""Tiny arithmetic expression evaluator for file formats and CLI parameters.
 
-Grammar (complex-valued):
+Python's parser reads the text, and the evaluator accepts only this grammar:
 
-    expr   := term (('+' | '-') term)*
-    term   := unary (('*' | '/') unary)*
-    unary  := '-' unary | '+' unary | atom
-    atom   := NUMBER | 'pi' | 'i' | NAME '(' expr ')' | '(' expr ')'
+    expr := NUMBER | NAME | FUNC '(' expr ')' | '(' expr ')' | ('+' | '-') expr
+          | expr ('+' | '-' | '*' | '/') expr
 
-Supported functions: sqrt, cos, sin, tan, exp. Whitespace is ignored.
-Used for beam-splitter parameters, problem-file amplitudes, and scenario
-angles, so files can say things like 1/sqrt(2) or pi/4 exactly.
+with Python's precedence and int and float literals (2, .5, 2.5e-3, 0x1f).
+NAME is pi, i or j and FUNC is sqrt, cos, sin, tan or exp, in any case. The
+text holds only ASCII letters, digits, '.+-*/()', spaces and tabs; arithmetic
+is complex, so files and parameters can say 1/sqrt(2) or pi/4 exactly.
 """
 
 from __future__ import annotations
 
+import ast
 import cmath
 import math
+import operator
 import re
+import warnings
 
 from .errors import InputError
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/()]))"
-)
+_FOREIGN = re.compile(r"[^A-Za-z0-9.+\-*/() \t]")
 
-_FUNCTIONS = {
-    "sqrt": cmath.sqrt,
-    "cos": cmath.cos,
-    "sin": cmath.sin,
-    "tan": cmath.tan,
-    "exp": cmath.exp,
-}
+_FUNCTIONS = {name: getattr(cmath, name) for name in ("sqrt", "cos", "sin", "tan", "exp")}
 
 _CONSTANTS = {"pi": complex(math.pi), "i": 1j, "j": 1j}
 
-
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise InputError(f"unexpected character {text[pos:].strip()[0]!r} in expression {text!r}")
-            break
-        tokens.append(m.group("num") or m.group("name") or m.group("op"))
-        pos = m.end()
-    return tokens
+_OPERATORS = {
+    ast.UAdd: operator.pos, ast.USub: operator.neg,
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv,
+}
 
 
-class _Parser:
-    def __init__(self, tokens: list[str], source: str):
-        self.tokens = tokens
-        self.pos = 0
-        self.source = source
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise InputError(f"unexpected end of expression {self.source!r}")
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        got = self.take()
-        if got != tok:
-            raise InputError(f"expected {tok!r} but found {got!r} in {self.source!r}")
-
-    def expr(self) -> complex:
-        value = self.term()
-        while self.peek() in ("+", "-"):
-            if self.take() == "+":
-                value = value + self.term()
-            else:
-                value = value - self.term()
-        return value
-
-    def term(self) -> complex:
-        value = self.unary()
-        while self.peek() in ("*", "/"):
-            if self.take() == "*":
-                value = value * self.unary()
-            else:
-                divisor = self.unary()
-                if divisor == 0:
-                    raise InputError(f"division by zero in {self.source!r}")
-                value = value / divisor
-        return value
-
-    def unary(self) -> complex:
-        tok = self.peek()
-        if tok == "-":
-            self.take()
-            return -self.unary()
-        if tok == "+":
-            self.take()
-            return self.unary()
-        return self.atom()
-
-    def atom(self) -> complex:
-        tok = self.take()
-        if tok == "(":
-            value = self.expr()
-            self.expect(")")
-            return value
-        if tok[0].isdigit() or tok[0] == ".":
-            return complex(float(tok))
-        lowered = tok.lower()
-        if lowered in _CONSTANTS:
-            return _CONSTANTS[lowered]
-        if lowered in _FUNCTIONS:
-            self.expect("(")
-            arg = self.expr()
-            self.expect(")")
-            try:
-                return _FUNCTIONS[lowered](arg)
-            except OverflowError:
-                raise InputError(f"{lowered}({arg}) overflows in expression {self.source!r}") from None
-        raise InputError(f"unknown name {tok!r} in expression {self.source!r}")
+def _evaluate(node: ast.expr, text: str) -> complex:
+    match node:
+        case ast.Constant(value=value) if type(value) in (int, float):
+            return complex(value)
+        case ast.Name(id=name) if name.lower() in _CONSTANTS:
+            return _CONSTANTS[name.lower()]
+        case ast.UnaryOp(op=op, operand=operand) if type(op) in _OPERATORS:
+            return _OPERATORS[type(op)](_evaluate(operand, text))
+        case ast.BinOp(left=left, op=op, right=right) if type(op) in _OPERATORS:
+            return _OPERATORS[type(op)](_evaluate(left, text), _evaluate(right, text))
+        case ast.Call(func=ast.Name(id=name), args=[arg], keywords=[]) if name.lower() in _FUNCTIONS:
+            return _FUNCTIONS[name.lower()](_evaluate(arg, text))
+    raise InputError(f"cannot evaluate {ast.unparse(node)!r} in expression {text!r}")
 
 
 def parse_complex(text: str) -> complex:
     """Evaluate an arithmetic expression to a complex number."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise InputError("empty expression")
-    parser = _Parser(tokens, text)
+    body = text.strip()
+    if (foreign := _FOREIGN.search(body)) is not None:
+        raise InputError(f"unexpected character {foreign.group()!r} in expression {text!r}")
     try:
-        value = parser.expr()
-    except RecursionError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a number run into a keyword ("1if") warns: refuse it, print nothing
+            tree = ast.parse(body, mode="eval")
+        value = _evaluate(tree.body, text)
+    except SyntaxError as exc:  # the tokenizer also stops at 200 nested parentheses
+        raise InputError(f"expression {text[:40]!r} is malformed or nests too deeply: {exc.msg}") from None
+    except (RecursionError, MemoryError):
         raise InputError(f"expression {text[:40]!r}... nests too deeply") from None
-    if parser.peek() is not None:
-        raise InputError(f"trailing tokens after expression in {text!r}")
+    except ZeroDivisionError:
+        raise InputError(f"division by zero in {text!r}") from None
+    except (OverflowError, ValueError):  # an integer beyond float, or cmath on an infinite argument
+        raise InputError(f"expression {text[:40]!r} overflows") from None
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise InputError(f"expression {text!r} is not finite")
     return value

@@ -649,7 +649,7 @@ def parse_circuit(text: str) -> Circuit:
         if word == "photons":
             if n_photons is not None:
                 raise CircuitParseError("duplicate photons line", line_no)
-            if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+            if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) < 1:
                 raise CircuitParseError("photons needs one positive integer", line_no)
             n_photons = int(parts[1])
             continue

@@ -215,7 +215,7 @@ def parse_problem_text(text: str) -> tuple[Ket, list[WeakValueTarget]]:
         if word == "photons":
             if convention is not None:
                 raise FileParseError("duplicate photons line", line_no)
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise FileParseError("photons needs one integer argument", line_no)
             try:
                 convention = hilbert.BasisConvention(int(parts[1]))

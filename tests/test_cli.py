@@ -227,12 +227,15 @@ def test_solve_vacuous_targets_exit_three(tmp_path):
     assert "error:" in result.stderr
 
 
-def test_solve_malformed_file_exits_two(tmp_path):
+@pytest.mark.parametrize(
+    "text,line", [("photons 2\npre 0100 oops 0\n", 2), ("photons ²\n", 1)], ids=["bad-amplitude", "superscript-photons"]
+)
+def test_solve_malformed_file_exits_two(tmp_path, text, line):
     path = tmp_path / "broken.problem"
-    path.write_text("photons 2\npre 0100 oops 0\n")
+    path.write_text(text, encoding="utf-8")
     result = run_cli("solve", str(path))
     assert result.exit_code == 2
-    assert "line 2" in result.stderr
+    assert f"line {line}" in result.stderr
 
 
 def test_solve_overflowing_expression_exits_two(tmp_path):
@@ -355,12 +358,15 @@ def test_circuit_unknown_pattern_exits_two():
     assert result.exit_code == 2
 
 
-def test_circuit_malformed_file_exits_two(tmp_path):
+@pytest.mark.parametrize(
+    "text,line", [("photons 2\nsource laser\n", 2), ("photons ²\n", 1)], ids=["bad-source", "superscript-photons"]
+)
+def test_circuit_malformed_file_exits_two(tmp_path, text, line):
     path = tmp_path / "bad.circuit"
-    path.write_text("photons 2\nsource laser\n")
+    path.write_text(text, encoding="utf-8")
     result = run_cli("circuit", str(path))
     assert result.exit_code == 2
-    assert "line 2" in result.stderr
+    assert f"line {line}" in result.stderr
 
 
 @pytest.mark.parametrize(

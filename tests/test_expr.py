@@ -21,6 +21,11 @@ from cheshire.expr import parse_complex, parse_real
         ("i*i", -1.0),
         ("(1+i)*(1-i)", 2.0),
         ("tan(pi/8)", math.tan(math.pi / 8)),
+        ("PI/2", math.pi / 2),
+        ("Sqrt(4)", 2.0),
+        ("2*-3", -6.0),
+        ("--1", 1.0),
+        (" 1 + 2 ", 3.0),
     ],
 )
 def test_parse_complex_values(text, value):
@@ -37,12 +42,22 @@ def test_parse_real_accepts_real_expressions():
     assert parse_real("pi/4") == math.pi / 4
 
 
+def test_parse_real_keeps_the_sign_of_zero():
+    assert math.copysign(1.0, parse_real("-0")) == -1.0
+
+
 def test_parse_real_rejects_imaginary():
     with pytest.raises(InputError):
         parse_real("i")
 
 
-@pytest.mark.parametrize("bad", ["", "1+", "foo(2)", "1//2", "(1", "1 2", "sqrt", "2**3"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "", "1+", "foo(2)", "1//2", "(1", "1 2", "sqrt", "2**3", "2j", "True", "1_000", "1 # c", "sqrt(1, 2)",
+        "sqrt(x=1)", "a.b", "(1, 2)", "1 % 2", "not 1", "__import__('os')",
+    ],
+)
 def test_malformed_expressions(bad):
     with pytest.raises(InputError):
         parse_complex(bad)
@@ -53,14 +68,24 @@ def test_division_by_zero():
         parse_complex("1/0")
 
 
-@pytest.mark.parametrize("text", ["exp(1000)", "cos(1000*i)"])
+@pytest.mark.parametrize(
+    "text", ["exp(1000)", "cos(1000*i)", "cos(1e400)", pytest.param("1" * 400, id="integer-beyond-float")]
+)
 def test_function_overflow_is_input_error(text):
     with pytest.raises(InputError, match="overflows"):
         parse_real(text)
 
 
 @pytest.mark.parametrize(
-    "text", ["(" * 300 + "1" + ")" * 300, "-" * 2000 + "1"], ids=["parens", "unary-minus"]
+    "text",
+    [
+        "(" * 300 + "1" + ")" * 300,
+        "-" * 2000 + "1",
+        "-" * 100_000 + "1",
+        "1+" * 5_000 + "1",
+        "sqrt(" * 300 + "1" + ")" * 300,
+    ],
+    ids=["parens", "unary-minus", "unary-minus-100k", "flat-sum", "nested-sqrt"],
 )
 def test_deep_nesting_is_input_error(text):
     with pytest.raises(InputError, match="nests too deeply"):

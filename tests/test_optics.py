@@ -649,6 +649,7 @@ def test_exact_and_calibration_paths_load_no_numpy():
         ("photons 1\nelement hwp photon=1 arm=\n", 2),  # empty values
         ("photons 1\nsource ket path=L pol=H\ndetector D1 photon=1 mode= pol=H\n", 3),
         ("photons 1\nelement bs name= in_a=L in_b=R t=1 r=0\n", 2),
+        ("photons ²\n", 1),  # a digit to str.isdigit, not to int()
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):

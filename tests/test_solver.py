@@ -292,6 +292,7 @@ def test_parse_problem_letter_labels_and_expressions():
         ("photons 1\npre 00 bogus 0\n", 2),
         ("photons 1\nwhatever 1\n", 2),
         ("photons 1\npre 00 1\n", 2),
+        ("photons ²\n", 1),  # a digit to str.isdigit, not to int()
     ],
 )
 def test_parse_problem_errors_carry_line_numbers(text, line):
