@@ -38,13 +38,9 @@ _EXPORTS = {
         "parse_circuit_file", "run_exact", "run_monte_carlo", "run_pre_block", "two_cat_device",
     ),
     "scenarios": (
-        "ScenarioId", "build_pair", "expected_pattern", "general_two_cat", "n_cat",
-        "post_state_indices", "pre_state_indices", "single", "two_cat",
+        "ScenarioId", "build_pair", "expected_pattern", "general_two_cat", "n_cat", "single", "two_cat",
     ),
-    "solver": (
-        "WeakValueTarget", "assemble", "parse_problem_file", "parse_problem_text",
-        "solve_post", "verify",
-    ),
+    "solver": ("WeakValueTarget", "assemble", "parse_problem_file", "solve_post", "verify"),
     "weakval": (
         "PointerConfig", "PrePostPair", "WeakValueReport", "observable_for",
         "observable_from_descriptor", "pair_from_states", "pointer_shift", "weak_value",

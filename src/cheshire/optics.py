@@ -41,11 +41,19 @@ Numeric parameters are arithmetic expressions (pi, i, sqrt, ...). Elements
 before the `postselection` marker form the pre-selection block; the rest is
 the post-selection block. Detector lines bind (photon, mode, polarization)
 ports to labels; a run groups final configurations by their coincidence
-pattern (the sorted set of labels the photons land on, joined with '+', so a
-label may not hold '+'), and the `postselect-on` label names the success
-pattern in which every photon lands on that detector. A directive refuses
-keys and flags it does not know. Splitter names, where given, are distinct:
-calibration reports its settings by name.
+pattern (the sorted set of labels the photons land on, joined with '+'), and
+the `postselect-on` label names the success pattern in which every photon
+lands on that detector. A directive refuses keys and flags it does not know.
+
+The circuit rules, each checked in one place: `Circuit` checks them all on
+construction, and the parser checks each line's as it reads it.
+* An element or detector addresses a photon in 1..n.
+* A port is a nonempty mode with pol H or V: each photon's in the source and
+  each detector's; a coupler has two distinct ports.
+* The source and every splitter port configuration hold one mode per photon.
+* A detector label holds no '+', which joins the labels of a pattern.
+* Splitter names, where given, are distinct: calibration reports by name.
+* The source is normalized, and `postselect-on` names a bound detector.
 
 Monte Carlo runs sample coincidence patterns from the exact distribution in
 4096-shot blocks. Block b draws its counts with one multinomial draw from a
@@ -59,7 +67,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
-from itertools import product
+from itertools import product, zip_longest
 from typing import Iterable, Sequence
 
 from . import hilbert
@@ -70,7 +78,7 @@ from .errors import (
     InputError,
     ZeroNormError,
 )
-from .expr import parse_complex, parse_real
+from .expr import Directives, parse_complex, parse_real
 from .hilbert import PRUNE_THRESHOLD, BasisConvention, Ket
 
 Config = tuple[tuple[str, str], ...]
@@ -96,11 +104,8 @@ class Coupler:
     matrix: tuple[tuple[complex, complex], tuple[complex, complex]]
 
     def __post_init__(self):
-        for mode, pol in self.ports:
-            if not mode or pol not in _POLS:
-                raise InputError(f"coupler port ({mode!r}, {pol!r}) needs a mode and pol H or V")
-        if self.ports[0] == self.ports[1]:
-            raise InputError(f"coupler on photon {self.photon} needs two distinct ports")
+        if len(set(self.ports)) != 2 or not all(map(_is_port, self.ports)):
+            raise InputError(f"coupler needs two distinct ports (mode, H/V), got {self.ports}")
         (a, b), (c, d) = self.matrix
         defect = max(abs(abs(a) ** 2 + abs(c) ** 2 - 1), abs(abs(b) ** 2 + abs(d) ** 2 - 1),
                      abs(a.conjugate() * b + c.conjugate() * d))
@@ -147,6 +152,48 @@ _PLATES = {
 # circuit
 
 
+def _is_port(port: tuple[str, str]) -> bool:
+    """A (mode, pol) pair: a nonempty mode and pol H or V."""
+    return len(port) == 2 and bool(port[0]) and port[1] in _POLS
+
+
+def _check_photon(photon: int, n: int, what: str) -> None:
+    if not 1 <= photon <= n:
+        raise CircuitConfigError(f"{what} photon {photon} is not in 1..{n}")
+
+
+def _check_source(source: OpticsState, n: int) -> None:
+    for config in source:
+        if len(config) != n or not all(map(_is_port, config)):
+            raise CircuitConfigError(f"source configuration {config} needs one (mode, H/V) per photon")
+    if abs(sum(abs(a) ** 2 for a in source.values()) - 1.0) > 1e-12:
+        raise CircuitConfigError(f"source state {source} is not normalized")
+
+
+def _check_element(el: Element, n: int, names: set[str]) -> None:
+    """`names` holds the splitter names met so far; a named splitter adds its own."""
+    if isinstance(el, Coupler):
+        _check_photon(el.photon, n, "element")
+        return
+    for cfg in (el.in_a, el.in_b, el.out_a, el.out_b):
+        if len(cfg) != n or not all(cfg):
+            raise CircuitConfigError(
+                f"beam splitter {el.name!r} port configuration {cfg} does not list one mode per photon"
+            )
+    if el.name in names:
+        raise CircuitConfigError(f"duplicate beam splitter name {el.name!r}")
+    if el.name:
+        names.add(el.name)
+
+
+def _check_detector(port: tuple[int, str, str], label: str, n: int) -> None:
+    _check_photon(port[0], n, "detector")
+    if not _is_port(port[1:]):
+        raise CircuitConfigError(f"detector port {port} needs a mode and pol H or V")
+    if "+" in label:
+        raise CircuitConfigError(f"detector label {label!r} {_PLUS_LABEL}")
+
+
 @dataclass(frozen=True)
 class Circuit:
     """A parsed circuit file. `source` is the initial OpticsState: the spdc
@@ -160,34 +207,16 @@ class Circuit:
     postselect_on: str
 
     def __post_init__(self):
-        """A normalized source; source, elements and detectors address photons 1..n with H/V pols."""
+        """Every circuit rule of the module docstring, over the whole circuit."""
         n = self.n_photons
-        for config in self.source:
-            if len(config) != n or any(len(port) != 2 or port[1] not in _POLS for port in config):
-                raise CircuitConfigError(f"source configuration {config} needs one (mode, H/V) per photon")
-        if abs(sum(abs(a) ** 2 for a in self.source.values()) - 1.0) > 1e-12:
-            raise CircuitConfigError(f"source state {self.source} is not normalized")
-        for (photon, mode, pol), label in self.detectors.items():
-            if not 1 <= photon <= n or pol not in _POLS:
-                raise CircuitConfigError(f"detector port photon={photon} mode={mode} pol={pol} is invalid")
-            if "+" in label:
-                raise CircuitConfigError(f"detector label {label!r} {_PLUS_LABEL}")
+        _check_source(self.source, n)
         names: set[str] = set()
         for el in self.pre_elements + self.post_elements:
-            if isinstance(el, BeamSplitter):
-                if el.name:
-                    if el.name in names:
-                        raise CircuitConfigError(f"duplicate beam splitter name {el.name!r}")
-                    names.add(el.name)
-                for cfg in (el.in_a, el.in_b, el.out_a, el.out_b):
-                    if len(cfg) != n:
-                        raise CircuitConfigError(
-                            f"beam splitter {el.name!r} port configuration {cfg} "
-                            f"does not list one mode per photon"
-                        )
-            else:
-                if not 1 <= el.photon <= n:
-                    raise CircuitConfigError(f"element {el} addresses a missing photon")
+            _check_element(el, n, names)
+        for port, label in self.detectors.items():
+            _check_detector(port, label, n)
+        if self.postselect_on not in self.detectors.values():
+            raise CircuitConfigError(f"postselect-on names {self.postselect_on!r} but no detector binds it")
 
 
 # ---------------------------------------------------------------------------
@@ -585,53 +614,62 @@ _ELEMENT_KEYS = {
 }
 
 
-def _split_kv(
-    parts: Sequence[str], keys: Sequence[str], line_no: int, known_flags: Sequence[str] = ()
-) -> tuple[dict[str, str], set[str]]:
+def _split_kv(parts: list[str], keys: Sequence[str], known_flags=()) -> dict[str, str]:
+    """key=value parts by key; a known flag maps to ""."""
     kv: dict[str, str] = {}
-    flags: set[str] = set()
     for part in parts:
         key, eq, value = part.partition("=")
         if not eq:
             if part not in known_flags:
-                raise CircuitParseError(f"unknown flag {part!r}", line_no)
-            flags.add(part)
+                raise InputError(f"unknown flag {part!r}")
+            kv[part] = ""
         elif key not in keys:
-            raise CircuitParseError(f"unknown key {key!r}", line_no)
+            raise InputError(f"unknown key {key!r}")
         elif key in kv:
-            raise CircuitParseError(f"duplicate key {key!r}", line_no)
+            raise InputError(f"duplicate key {key!r}")
         elif not value:
-            raise CircuitParseError(f"empty value for {key!r}", line_no)
+            raise InputError(f"empty value for {key!r}")
         else:
             kv[key] = value
-    return kv, flags
+    return kv
 
 
-def _need(kv: dict[str, str], key: str, line_no: int) -> str:
+def _need(kv: dict[str, str], key: str) -> str:
     if key not in kv:
-        raise CircuitParseError(f"missing {key}=...", line_no)
+        raise InputError(f"missing {key}=...")
     return kv[key]
 
 
-def _photon(kv: dict[str, str], n: int, what: str, line_no: int) -> int:
+def _photon(kv: dict[str, str]) -> int:
     try:
-        photon = int(_need(kv, "photon", line_no))
+        return int(_need(kv, "photon"))
     except ValueError:
-        raise CircuitParseError("photon index must be an integer", line_no) from None
-    if not 1 <= photon <= n:
-        raise CircuitParseError(f"{what} photon {photon} is not in 1..{n}", line_no)
-    return photon
+        raise InputError("photon index must be an integer") from None
 
 
-def _modes_tuple(text: str, n: int, line_no: int) -> tuple[str, ...]:
-    modes = tuple(m.strip() for m in text.split(","))
-    if len(modes) != n or not all(modes):
-        raise CircuitParseError(f"expected {n} comma-separated modes, got {text!r}", line_no)
-    return modes
+def _ports(modes: str, pols: Sequence[str]) -> Config:
+    """Comma-separated modes paired with pols; a missing entry reads "", which `_is_port` refuses."""
+    return tuple(zip_longest(modes.split(","), pols, fillvalue=""))
+
+
+def _element(kind: str, kv: dict[str, str]) -> Element:
+    if kind == "bs":
+        in_a, in_b = _need(kv, "in_a"), _need(kv, "in_b")  # outputs default to the inputs
+        ports = (tuple(m.split(",")) for m in (in_a, in_b, kv.get("out_a", in_a), kv.get("out_b", in_b)))
+        t, r = parse_complex(_need(kv, "t")), parse_complex(_need(kv, "r"))
+        return BeamSplitter(*ports, t, r, kv.get("name", ""), "adjustable" in kv)
+    if kind == "pbs":
+        return Coupler(_photon(kv), tuple((mode, "V") for mode in _need(kv, "ports").split(",")), _SWAP)
+    photon, arm = _photon(kv), _need(kv, "arm")
+    if kind == "phase":
+        shift = parse_real(_need(kv, "shift"))
+        e = complex(math.cos(shift), math.sin(shift))
+        return Coupler(photon, ((arm, "H"), (arm, "V")), ((e, 0j), (0j, e)))
+    return Coupler(photon, ((arm, "H"), (arm, "V")), _PLATES[kind])
 
 
 def parse_circuit(text: str) -> Circuit:
-    n_photons: int | None = None
+    lines = Directives(text, CircuitParseError)
     source: OpticsState | None = None
     pre: list[Element] = []
     post: list[Element] = []
@@ -640,130 +678,70 @@ def parse_circuit(text: str) -> Circuit:
     detectors: dict[tuple[int, str, str], str] = {}
     postselect_on: str | None = None
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        word = parts[0]
-        if word == "photons":
-            if n_photons is not None:
-                raise CircuitParseError("duplicate photons line", line_no)
-            if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) < 1:
-                raise CircuitParseError("photons needs one positive integer", line_no)
-            n_photons = int(parts[1])
-            continue
-        if n_photons is None:
+    for line_no, (word, *args) in lines:
+        if lines.convention is None:
             raise CircuitParseError("photons must be the first directive", line_no)
-
-        if word == "source":
-            if source is not None:
-                raise CircuitParseError("duplicate source line", line_no)
-            if len(parts) < 2:
-                raise CircuitParseError("source needs a kind (spdc or ket)", line_no)
-            if parts[1] not in ("spdc", "ket"):
-                raise CircuitParseError(f"unknown source kind {parts[1]!r}", line_no)
-            kv, _ = _split_kv(parts[2:], ("modes",) if parts[1] == "spdc" else ("path", "pol"), line_no)
-            if parts[1] == "spdc":
-                if n_photons != 2:
-                    raise CircuitParseError("spdc source requires photons 2", line_no)
-                m1, m2 = _modes_tuple(_need(kv, "modes", line_no), 2, line_no)
-                source = {((m1, "H"), (m2, "V")): _INV_SQRT2 + 0j, ((m1, "V"), (m2, "H")): _INV_SQRT2 + 0j}
-            else:
-                paths = _modes_tuple(_need(kv, "path", line_no), n_photons, line_no)
-                pols = _modes_tuple(_need(kv, "pol", line_no), n_photons, line_no)
-                if not all(p in _POLS for p in pols):
-                    raise CircuitParseError("pol entries must be H or V", line_no)
-                source = {tuple(zip(paths, pols)): 1.0 + 0j}
-        elif word == "element":
-            if len(parts) < 2:
-                raise CircuitParseError("element needs a kind", line_no)
-            kind = parts[1]
-            if kind not in _ELEMENT_KEYS:
-                raise CircuitParseError(f"unknown element kind {kind!r}", line_no)
-            flags_known = ("adjustable",) if kind == "bs" else ()
-            kv, flags = _split_kv(parts[2:], _ELEMENT_KEYS[kind], line_no, flags_known)
-            try:
-                if kind == "pbs":
-                    a, b = _modes_tuple(_need(kv, "ports", line_no), 2, line_no)
-                    photon = _photon(kv, n_photons, "element", line_no)
-                    el: Element = Coupler(photon, ((a, "V"), (b, "V")), _SWAP)
-                elif kind in _PLATES or kind == "phase":
-                    photon, arm = _photon(kv, n_photons, "element", line_no), _need(kv, "arm", line_no)
-                    if kind == "phase":
-                        shift = parse_real(_need(kv, "shift", line_no))
-                        e = complex(math.cos(shift), math.sin(shift))
-                        matrix = ((e, 0j), (0j, e))
-                    else:
-                        matrix = _PLATES[kind]
-                    el = Coupler(photon, ((arm, "H"), (arm, "V")), matrix)
+        n = lines.convention.n_photons
+        try:
+            if word == "source":
+                if source is not None:
+                    raise InputError("duplicate source line")
+                kind = args.pop(0) if args else None
+                if kind not in ("spdc", "ket"):
+                    raise InputError(f"source kind must be spdc or ket, got {kind!r}")
+                if kind == "spdc":
+                    modes = _need(_split_kv(args, ("modes",)), "modes")
+                    source = {_ports(modes, pols): _INV_SQRT2 + 0j for pols in (("H", "V"), ("V", "H"))}
                 else:
-                    in_a = _modes_tuple(_need(kv, "in_a", line_no), n_photons, line_no)
-                    in_b = _modes_tuple(_need(kv, "in_b", line_no), n_photons, line_no)
-                    out_a = _modes_tuple(kv["out_a"], n_photons, line_no) if "out_a" in kv else in_a
-                    out_b = _modes_tuple(kv["out_b"], n_photons, line_no) if "out_b" in kv else in_b
-                    el = BeamSplitter(
-                        in_a,
-                        in_b,
-                        out_a,
-                        out_b,
-                        parse_complex(_need(kv, "t", line_no)),
-                        parse_complex(_need(kv, "r", line_no)),
-                        kv.get("name", ""),
-                        "adjustable" in flags,
-                    )
-            except InputError as exc:
-                raise CircuitParseError(str(exc), line_no) from None
-            if isinstance(el, BeamSplitter) and el.name:
-                if el.name in splitter_names:
-                    raise CircuitParseError(f"duplicate beam splitter name {el.name!r}", line_no)
-                splitter_names.add(el.name)
-            (post if seen_marker else pre).append(el)
-        elif word == "postselection":
-            if len(parts) != 1:
-                raise CircuitParseError("postselection takes no arguments", line_no)
-            if seen_marker:
-                raise CircuitParseError("duplicate postselection marker", line_no)
-            seen_marker = True
-        elif word == "detector":
-            if len(parts) < 2:
-                raise CircuitParseError("detector needs a label", line_no)
-            if "+" in parts[1]:
-                raise CircuitParseError(f"detector label {parts[1]!r} {_PLUS_LABEL}", line_no)
-            kv, _ = _split_kv(parts[2:], ("photon", "mode", "pol"), line_no)
-            photon = _photon(kv, n_photons, "detector", line_no)
-            mode = _need(kv, "mode", line_no)
-            pol = _need(kv, "pol", line_no)
-            if pol not in _POLS:
-                raise CircuitParseError("pol must be H or V", line_no)
-            key = (photon, mode, pol)
-            if key in detectors:
-                raise CircuitParseError(
-                    f"port photon={photon} mode={mode} pol={pol} already bound", line_no
-                )
-            detectors[key] = parts[1]
-        elif word == "postselect-on":
-            if len(parts) != 2:
-                raise CircuitParseError("postselect-on needs one detector label", line_no)
-            if postselect_on is not None:
-                raise CircuitParseError("duplicate postselect-on line", line_no)
-            postselect_on = parts[1]
-        else:
-            raise CircuitParseError(f"unknown directive {word!r}", line_no)
+                    kv = _split_kv(args, ("path", "pol"))
+                    source = {_ports(_need(kv, "path"), _need(kv, "pol").split(",")): 1.0 + 0j}
+                _check_source(source, n)
+            elif word == "element":
+                kind = args.pop(0) if args else None
+                if kind not in _ELEMENT_KEYS:
+                    raise InputError(f"element kind must be one of {', '.join(_ELEMENT_KEYS)}, got {kind!r}")
+                flags_known = ("adjustable",) if kind == "bs" else ()
+                el = _element(kind, _split_kv(args, _ELEMENT_KEYS[kind], flags_known))
+                _check_element(el, n, splitter_names)
+                (post if seen_marker else pre).append(el)
+            elif word == "postselection":
+                if args:
+                    raise InputError("postselection takes no arguments")
+                if seen_marker:
+                    raise InputError("duplicate postselection marker")
+                seen_marker = True
+            elif word == "detector":
+                if not args:
+                    raise InputError("detector needs a label")
+                kv = _split_kv(args[1:], ("photon", "mode", "pol"))
+                port = (_photon(kv), _need(kv, "mode"), _need(kv, "pol"))
+                _check_detector(port, args[0], n)
+                if port in detectors:
+                    raise InputError(f"port photon={port[0]} mode={port[1]} pol={port[2]} already bound")
+                detectors[port] = args[0]
+            elif word == "postselect-on":
+                if len(args) != 1:
+                    raise InputError("postselect-on needs one detector label")
+                if postselect_on is not None:
+                    raise InputError("duplicate postselect-on line")
+                postselect_on = args[0]
+            else:
+                raise InputError(f"unknown directive {word!r}")
+        except (InputError, CircuitConfigError) as exc:
+            raise CircuitParseError(str(exc), line_no) from None
 
-    if n_photons is None:
+    if lines.convention is None:
         raise CircuitParseError("missing photons line", 1)
     if source is None:
         raise CircuitParseError("missing source line", 1)
     if postselect_on is None:
         raise CircuitParseError("missing postselect-on line", 1)
-    if postselect_on not in detectors.values():
-        raise CircuitParseError(
-            f"postselect-on names {postselect_on!r} but no detector line binds it", 1
-        )
     if not seen_marker:
         post, pre = pre, post  # no marker: everything is post-selection side
-    return Circuit(n_photons, source, tuple(pre), tuple(post), detectors, postselect_on)
+    try:
+        return Circuit(lines.convention.n_photons, source, tuple(pre), tuple(post), detectors, postselect_on)
+    except CircuitConfigError as exc:  # every per-line rule held: postselect-on binds no detector
+        raise CircuitParseError(str(exc), 1) from None
 
 
 def parse_circuit_file(path) -> Circuit:

@@ -44,7 +44,7 @@ from .errors import (
     InputError,
     VacuousSelectionError,
 )
-from .expr import parse_real
+from .expr import Directives, parse_real
 from .hilbert import Ket, Operator
 
 _RANK_CUTOFF_REL = 1e-10
@@ -203,46 +203,28 @@ def verify(pre: Ket, post: Ket, targets: Sequence[WeakValueTarget]) -> float:
 
 
 def parse_problem_text(text: str) -> tuple[Ket, list[WeakValueTarget]]:
-    convention = None
+    lines = Directives(text, FileParseError)
     amps: dict[int, complex] = {}
     raw_targets: list[tuple[str, complex, int]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        word = parts[0]
-        if word == "photons":
-            if convention is not None:
-                raise FileParseError("duplicate photons line", line_no)
-            if len(parts) != 2 or not parts[1].isdecimal():
-                raise FileParseError("photons needs one integer argument", line_no)
-            try:
-                convention = hilbert.BasisConvention(int(parts[1]))
-            except InputError as exc:
-                raise FileParseError(str(exc), line_no) from None
-        elif word == "pre":
-            if convention is None:
-                raise FileParseError("photons must come before pre rows", line_no)
-            if len(parts) < 4:
-                raise FileParseError("pre rows are: pre LABEL RE IM", line_no)
-            # token-form labels contain spaces; the last two fields are Re, Im
-            try:
-                k = convention.index_of_label(" ".join(parts[1:-2]))
-                value = complex(parse_real(parts[-2]), parse_real(parts[-1]))
-            except InputError as exc:
-                raise FileParseError(str(exc), line_no) from None
-            amps[k] = amps.get(k, 0j) + value
-        elif word == "target":
-            if len(parts) != 4:
-                raise FileParseError("target rows are: target DESCRIPTOR RE IM", line_no)
-            try:
-                value = complex(parse_real(parts[2]), parse_real(parts[3]))
-            except InputError as exc:
-                raise FileParseError(str(exc), line_no) from None
-            raw_targets.append((parts[1], value, line_no))
-        else:
-            raise FileParseError(f"unknown directive {word!r}", line_no)
+    for line_no, words in lines:
+        try:
+            if words[0] == "pre":
+                if lines.convention is None:
+                    raise FileParseError("photons must come before pre rows", line_no)
+                if len(words) < 4:
+                    raise FileParseError("pre rows are: pre LABEL RE IM", line_no)
+                # token-form labels contain spaces; the last two fields are Re, Im
+                k = lines.convention.index_of_label(" ".join(words[1:-2]))
+                amps[k] = amps.get(k, 0j) + complex(parse_real(words[-2]), parse_real(words[-1]))
+            elif words[0] == "target":
+                if len(words) != 4:
+                    raise FileParseError("target rows are: target DESCRIPTOR RE IM", line_no)
+                raw_targets.append((words[1], complex(parse_real(words[2]), parse_real(words[3])), line_no))
+            else:
+                raise FileParseError(f"unknown directive {words[0]!r}", line_no)
+        except InputError as exc:
+            raise FileParseError(str(exc), line_no) from None
+    convention = lines.convention
     if convention is None:
         raise FileParseError("missing photons line", 1)
     if not amps:

@@ -1,10 +1,12 @@
 import cmath
 import math
+import warnings
 
 import pytest
 
-from cheshire.errors import InputError
-from cheshire.expr import parse_complex, parse_real
+from cheshire import BasisConvention
+from cheshire.errors import FileParseError, InputError
+from cheshire.expr import Directives, parse_complex, parse_real
 
 
 @pytest.mark.parametrize(
@@ -90,3 +92,21 @@ def test_function_overflow_is_input_error(text):
 def test_deep_nesting_is_input_error(text):
     with pytest.raises(InputError, match="nests too deeply"):
         parse_complex(text)
+
+
+@pytest.mark.parametrize("text", ["0x1for 1", "0x1fin 1", "1if 1 else 2"])
+def test_number_run_into_a_keyword_is_refused_silently(text, capsys):
+    """Python's parser warns on these; hex digits can run into a keyword too."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InputError):
+            parse_complex(text)
+    assert caught == []
+    assert capsys.readouterr() == ("", "")
+
+
+def test_directives_yield_words_and_read_photons():
+    lines = Directives("# head\n\ntarget a  b # c\nphotons 3 # three\npre x\n", FileParseError)
+    assert list(lines) == [(3, ["target", "a", "b"]), (5, ["pre", "x"])]
+    assert lines.convention == BasisConvention(3)
+

@@ -210,10 +210,13 @@ def test_circuit_with_missing_photon_fails_at_construction():
         {"detectors": {(0, "L", "H"): "D5"}},
         {"detectors": {(1, "L", "X"): "D5"}},
         {"detectors": {(1, "R", "H"): "D5", (2, "L", "H"): "D5", (1, "L", "H"): "D1+D2"}},
+        {"detectors": {(1, "R", "H"): "D5", (2, "L", "H"): "D5", (1, "", "H"): "D1"}},
+        {"postselect_on": "D9"},  # built before, and run_exact then read success probability 0.0
     ],
     ids=["ket-short", "ket-pols-short", "ket-bad-pol", "source-unnormalized", "source-empty",
          "spdc-three-photons",
-         "detector-photon-high", "detector-photon-zero", "detector-bad-pol", "detector-label-plus"],
+         "detector-photon-high", "detector-photon-zero", "detector-bad-pol", "detector-label-plus",
+         "detector-empty-mode", "postselect-on-unbound"],
 )
 def test_bad_source_or_detector_fails_at_construction(change):
     with pytest.raises(CircuitConfigError):
@@ -763,3 +766,88 @@ def test_unnamed_splitters_may_repeat():
 def test_parse_circuit_file_missing(tmp_path):
     with pytest.raises(OSError):
         optics.parse_circuit_file(tmp_path / "none.circuit")
+
+
+# ---------------------------------------------------------------------------
+# each circuit rule, by file and by construction
+
+RULE_BASE = """\
+photons 2
+source ket path=L,R pol=H,H
+element hwp photon=1 arm=L
+element bs name=BS1 in_a=L,R in_b=R,L t=1/sqrt(2) r=1/sqrt(2)
+detector A photon=1 mode=L pol=H
+detector B photon=2 mode=R pol=H
+postselect-on A
+""".splitlines()
+
+
+def rule_base() -> ch.Circuit:
+    return optics.parse_circuit("\n".join(RULE_BASE))
+
+
+def with_post(*elements):
+    return lambda: dataclasses.replace(rule_base(), post_elements=elements)
+
+
+def with_detector(port, label="A"):
+    """The base detectors plus one binding; postselect-on's A stays bound."""
+    return lambda: dataclasses.replace(rule_base(), detectors={**rule_base().detectors, port: label})
+
+
+def with_source(config):
+    return lambda: dataclasses.replace(rule_base(), source={config: 1.0 + 0j})
+
+
+def splitter(in_a, in_b, name=""):
+    return optics.BeamSplitter(in_a, in_b, in_a, in_b, 1, 0, name)
+
+
+# rule: (line replaced, its new text, line reported, direct construction, error it raises)
+RULES = {
+    "element-photon": (3, "element hwp photon=3 arm=L", 3,
+                       with_post(optics.Coupler(3, (("L", "H"), ("L", "V")), HWP)), CircuitConfigError),
+    "detector-photon": (5, "detector A photon=0 mode=L pol=H", 5,
+                        with_detector((0, "L", "H")), CircuitConfigError),
+    "plus-label": (6, "detector A+B photon=2 mode=R pol=H", 6,
+                   with_detector((2, "R", "H"), "A+B"), CircuitConfigError),
+    "duplicate-name": (3, "element bs name=BS1 in_a=L,R in_b=R,L t=1 r=0", 4,
+                       with_post(*[splitter(("L", "R"), ("R", "L"), "BS1")] * 2), CircuitConfigError),
+    "detector-pol": (5, "detector A photon=1 mode=L pol=D", 5,
+                     with_detector((1, "L", "D")), CircuitConfigError),
+    "source-pol": (2, "source ket path=L,R pol=H,D", 2,
+                   with_source((("L", "H"), ("R", "D"))), CircuitConfigError),
+    "coupler-ports": (3, "element pbs photon=1 ports=L,R,x", 3,
+                      lambda: optics.Coupler(1, (("L", "V"), ("R", "V"), ("x", "V")), HWP), InputError),
+    "source-mode-count": (2, "source ket path=L pol=H", 2,
+                          with_source((("L", "H"),)), CircuitConfigError),
+    "bs-mode-count": (4, "element bs in_a=L in_b=R t=1 r=0", 4,
+                      with_post(splitter(("L",), ("R",))), CircuitConfigError),
+    "source-empty-mode": (2, "source ket path=L, pol=H,H", 2,
+                          with_source((("L", "H"), ("", "H"))), CircuitConfigError),
+    "detector-empty-mode": (5, "detector A photon=1 mode= pol=H", 5,
+                            with_detector((1, "", "H")), CircuitConfigError),
+    "bs-empty-mode": (4, "element bs in_a=L, in_b=R,L t=1 r=0", 4,
+                      with_post(splitter(("L", ""), ("R", "L"))), CircuitConfigError),
+    "unbound-postselect-on": (7, "postselect-on Z", 1,
+                              lambda: dataclasses.replace(rule_base(), postselect_on="Z"), CircuitConfigError),
+}
+
+
+@pytest.mark.parametrize("replaced,new,line,build,error", RULES.values(), ids=RULES.keys())
+def test_each_rule_holds_in_the_file_and_at_construction(replaced, new, line, build, error):
+    lines = list(RULE_BASE)
+    lines[replaced - 1] = new
+    with pytest.raises(CircuitParseError) as err:
+        optics.parse_circuit("\n".join(lines))
+    assert err.value.line_no == line
+    with pytest.raises(error):
+        build()
+
+
+def test_comments_and_blank_lines_as_in_problem_files():
+    plain = "\n".join(RULE_BASE)
+    commented = "# a device\n\n" + plain.replace("photons 2", "photons 2   # two photons").replace(
+        "pol=H,H", "pol=H,H# both H"
+    )
+    assert optics.parse_circuit(commented) == optics.parse_circuit(plain)

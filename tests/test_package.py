@@ -10,7 +10,7 @@ import cheshire
 
 
 def test_public_names_are_their_home_modules_objects():
-    assert len(cheshire.__all__) == len(set(cheshire.__all__)) == 66
+    assert len(cheshire.__all__) == len(set(cheshire.__all__)) == 63
     for name in cheshire.__all__:
         obj = getattr(cheshire, name)
         assert obj.__module__.startswith("cheshire."), name

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import cheshire as ch
+from cheshire import scenarios
 from cheshire.errors import DegenerateScenarioError, InputError
 from conftest import equal_up_to_phase
 
@@ -31,14 +32,14 @@ SQ2 = math.sqrt(2)
     ],
 )
 def test_pre_state_indices(n, want):
-    assert ch.pre_state_indices(n) == want
+    assert scenarios.pre_state_indices(n) == want
 
 
 def test_pre_state_indices_formula():
     for n in range(2, 13):
         a = sum(2 ** (2 * n - 2 * k) for k in range(1, n // 2 + 1))
         b = sum(2 ** (2 * n - 2 * j + 1) for j in range(1, (n + 1) // 2 + 1))
-        assert ch.pre_state_indices(n) == (a, b)
+        assert scenarios.pre_state_indices(n) == (a, b)
 
 
 @pytest.mark.parametrize(
@@ -51,13 +52,13 @@ def test_pre_state_indices_formula():
     ],
 )
 def test_post_state_indices(n, want):
-    assert ch.post_state_indices(n) == want
+    assert scenarios.post_state_indices(n) == want
 
 
 def test_post_indices_distinct():
     """All n+1 post indices stay distinct and in range for n up to 12."""
     for n in range(2, 13):
-        a, main, extras = ch.post_state_indices(n)
+        a, main, extras = scenarios.post_state_indices(n)
         indices = [a, main, *extras]
         assert len(set(indices)) == n + 1
         assert all(0 <= k < 4**n for k in indices)
@@ -65,7 +66,7 @@ def test_post_indices_distinct():
 
 def test_pre_indices_reject_small_n():
     with pytest.raises(InputError):
-        ch.pre_state_indices(1)
+        scenarios.pre_state_indices(1)
 
 
 # ---------------------------------------------------------------------------

@@ -309,6 +309,23 @@ def test_parse_problem_requires_sections():
         solver.parse_problem_text("photons 1\npre 00 1 0\n")
 
 
+def test_parse_problem_accepts_targets_before_photons():
+    text = "target path:1:L 1 0\nphotons 1\npre 00 1 0\n"
+    pre, targets = solver.parse_problem_text(text)
+    assert pre.amplitudes == {0: 1.0}
+    assert [(t.observable.name, t.target) for t in targets] == [("path:1:L", 1.0)]
+
+
+def test_parse_problem_comments_as_in_circuit_files():
+    """A trailing comment may follow any directive, the photons line included."""
+    commented = "# symmetric pair\n\n" + GOOD_PROBLEM.replace("photons 2", "photons 2  # two photons").replace(
+        "target path:1:L 1 0", "target path:1:L 1 0# path"
+    )
+    (pre, targets), (want_pre, want_targets) = (solver.parse_problem_text(t) for t in (commented, GOOD_PROBLEM))
+    assert pre == want_pre
+    assert [(t.observable.terms, t.target) for t in targets] == [(t.observable.terms, t.target) for t in want_targets]
+
+
 def test_parse_problem_file_missing(tmp_path):
     with pytest.raises(OSError):
         solver.parse_problem_file(tmp_path / "missing.problem")
