@@ -1,8 +1,8 @@
 # python3
 """Weak values that put each photon's path in one arm and its grin in the other.
 
-Builds the pre/post-selected pairs of growing size and prints their weak-value
-tables. The pattern to look for: photon 1 has path weak value 1 on the left
+Builds the pre/post-selected pairs of growing size and prints their weak
+values. The pattern to look for: photon 1 has path weak value 1 on the left
 arm but grin weak value 1 on the right arm, and photon 2 is mirrored. Larger
 chains alternate photon by photon.
 """
@@ -15,9 +15,9 @@ import cheshire as ch
 def show(title, pair):
     print(f"== {title} ==")
     report = ch.weak_value_report(pair)
-    print(report.to_table(), end="")
-    overlap = report.overlap
-    print(f"(post-selection success probability {abs(overlap) ** 2:.6f})")
+    for (kind, photon, arm), w in report.entries.items():
+        print(f"photon {photon}  {kind}  {arm}  {w.real:+.6f}{w.imag:+.6f}i")
+    print(f"(post-selection success probability {abs(report.overlap) ** 2:.6f})")
     print()
 
 

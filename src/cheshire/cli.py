@@ -9,6 +9,13 @@ the standard library's argparse and takes no abbreviated option names; an
 option value that begins with '-' and is not a plain number is written
 --option=value.
 
+Tables and CSV come from one row writer: a header line, one line per row,
+then one `# key value` line per scalar. `scenario` prints one row per weak
+value (photon, kind, arm, re, im, and a flag `=0` or `=1` for a value within
+1e-12 of that number) and ends with `# pattern_match PASS` or `FAIL`. Its JSON
+is {entries, n_photons, overlap: {re, im}, pattern_match}; every other
+subcommand's JSON holds the scalars beside a `rows` list.
+
 Exit codes, stable for scripting:
     0  success / report matches
     1  computed result does not match the expected pattern or tolerance
@@ -57,6 +64,7 @@ EXIT_IO = 4
 
 _QUAD_SLACK = 8.0 / 7.0  # per-halving factor 4 / slack = 3.5
 _DEV_FLOOR = 1e-9
+FLAG_TOL = 1e-12  # the scenario table flags a weak value within this distance of 0 or 1
 
 
 def _g(value: float) -> str:
@@ -183,6 +191,16 @@ def parse_scenario_id(text: str) -> ScenarioId:
     )
 
 
+def _flag(value: complex) -> str:
+    """`=0` or `=1` for a weak value within FLAG_TOL of that number in both parts, else empty."""
+    if abs(value.imag) <= FLAG_TOL:
+        if abs(value.real) <= FLAG_TOL:
+            return "=0"
+        if abs(value.real - 1.0) <= FLAG_TOL:
+            return "=1"
+    return ""
+
+
 def _scenario(args: argparse.Namespace) -> int:
     from . import scenarios, weakval
 
@@ -191,15 +209,23 @@ def _scenario(args: argparse.Namespace) -> int:
     report = weakval.weak_value_report(pair)
     pattern = scenarios.expected_pattern(sid)
     ok = all(abs(report.entries[key] - want) <= args.tol for key, want in pattern.items())
-    verdict = "PASS" if ok else "FAIL"
-    if args.format == "table":
-        out = report.to_table() + f"pattern match: {verdict} (tolerance {_g(args.tol)})\n"
-    elif args.format == "csv":
-        out = report.to_csv() + f",pattern_match,,{verdict},\n"
-    else:
-        payload = json.loads(report.to_json_text())
-        payload["pattern_match"] = ok
+    ovl = report.overlap
+    if args.format == "json":
+        payload = {
+            "entries": [
+                {"photon": p, "kind": k, "arm": a, "re": v.real, "im": v.imag}
+                for (k, p, a), v in report.entries.items()
+            ],
+            "n_photons": pair.n_photons,
+            "overlap": {"re": ovl.real, "im": ovl.imag},
+            "pattern_match": ok,
+        }
         out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    else:
+        rows = [(p, k, a, v.real, v.imag, _flag(v)) for (k, p, a), v in report.entries.items()]
+        meta = {"overlap_re": ovl.real, "overlap_im": ovl.imag, "tolerance": args.tol,
+                "pattern_match": "PASS" if ok else "FAIL"}
+        out = _render_rows(("photon", "kind", "arm", "re", "im", "flag"), rows, args.format, meta=meta)
     sys.stdout.write(out)
     return 0 if ok else EXIT_MISMATCH
 

@@ -32,9 +32,8 @@ width and coupling.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import hilbert
@@ -45,7 +44,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 OVERLAP_THRESHOLD = 1e-10
-FLAG_TOL = 1e-12  # to_table flags a weak value within this distance of 0 or 1
 # pointer readout: Krylov residual, relative to the largest |O v| seen
 _KRYLOV_TOL = 1e-12
 
@@ -102,51 +100,16 @@ def weak_value(obs: Operator, pair: PrePostPair) -> complex:
 
 @dataclass(frozen=True)
 class WeakValueReport:
-    """All 4n path/grin weak values of a pair, in deterministic order.
+    """All 4n path/grin weak values of a pair, in deterministic order, and
+    the raw overlap <post|pre> they were divided by.
 
     Keys are (kind, photon, arm) with kind in {"path", "grin"}; iteration
     order is photon index, then kind (path before grin), then arm (L, R).
+    The report is data only: `cheshire scenario` renders it.
     """
 
-    n_photons: int
     entries: dict[tuple[str, int, str], complex]
     overlap: complex
-
-    def rows(self) -> list[tuple[int, str, str, float, float]]:
-        return [(p, k, a, v.real, v.imag) for (k, p, a), v in self.entries.items()]
-
-    def to_table(self) -> str:
-        lines = [f"{'photon':>6}  {'kind':<5} {'arm':<3} {'Re':>18} {'Im':>18}  flag"]
-        for photon, kind, arm, re, im in self.rows():
-            flag = ""
-            if abs(im) <= FLAG_TOL:
-                if abs(re) <= FLAG_TOL:
-                    flag = "=0"
-                elif abs(re - 1.0) <= FLAG_TOL:
-                    flag = "=1"
-            lines.append(f"{photon:>6}  {kind:<5} {arm:<3} {re:>18.12g} {im:>18.12g}  {flag}")
-        lines.append(
-            f"{'':>6}  {'overlap':<5} {'':<3} {self.overlap.real:>18.12g} {self.overlap.imag:>18.12g}"
-        )
-        return "\n".join(lines) + "\n"
-
-    def to_csv(self) -> str:
-        lines = ["photon,kind,arm,re,im"]
-        for photon, kind, arm, re, im in self.rows():
-            lines.append(f"{photon},{kind},{arm},{re:.12g},{im:.12g}")
-        lines.append(f",overlap,,{self.overlap.real:.12g},{self.overlap.imag:.12g}")
-        return "\n".join(lines) + "\n"
-
-    def to_json_text(self) -> str:
-        payload = {
-            "n_photons": self.n_photons,
-            "entries": [
-                {"photon": p, "kind": k, "arm": a, "re": re, "im": im}
-                for p, k, a, re, im in self.rows()
-            ],
-            "overlap": {"re": self.overlap.real, "im": self.overlap.imag},
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def observable_for(convention: hilbert.BasisConvention, kind: str, photon: int, arm: str) -> Operator:
@@ -189,7 +152,7 @@ def weak_value_report(pair: PrePostPair) -> WeakValueReport:
                 obs = observable_for(convention, kind, photon, arm)
                 numerator = hilbert.matrix_element(pair.post, obs, pair.pre)
                 entries[(kind, photon, arm)] = numerator / ovl
-    return WeakValueReport(pair.n_photons, entries, ovl)
+    return WeakValueReport(entries, ovl)
 
 
 @dataclass(frozen=True)

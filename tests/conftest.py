@@ -1,4 +1,4 @@
-"""Shared oracle helpers.
+"""Shared oracle helpers, and `run_cli`, which runs one command line in process.
 
 The dense constructions here are deliberately independent of the package:
 operators are built as explicit Kronecker chains over the 2n qubit factors
@@ -6,13 +6,18 @@ operators are built as explicit Kronecker chains over the 2n qubit factors
 column arithmetic is a real cross-check, not a tautology.
 """
 
+import contextlib
+import io
 import os
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
+import pytest
 
 import cheshire as ch
 from cheshire import BasisConvention, Ket, make_ket
+from cheshire.cli import main
 
 # child interpreters (the CLI tests that spawn `python -m cheshire.cli`) import
 # the package from this checkout too, with or without an installed copy
@@ -92,3 +97,18 @@ def delta_targets(convention: BasisConvention) -> list:
         ch.WeakValueTarget(ch.observable_for(convention, kind, photon, arm), complex(value))
         for (kind, photon, arm), value in ch.expected_pattern(sid).items()
     ]
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    output: str  # stdout
+    stderr: str
+
+
+def run_cli(*args):
+    """One in-process command line: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as stop:
+            main(list(args))
+    return CliResult(stop.value.code, out.getvalue(), err.getvalue())

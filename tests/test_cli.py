@@ -6,7 +6,6 @@ and malformed input, 3 degenerate/infeasible/vacuous/anomalous/calibration,
 must produce byte-identical stdout.
 """
 
-import contextlib
 import csv
 import io
 import json
@@ -14,13 +13,13 @@ import math
 import subprocess
 import sys
 from pathlib import Path
-from typing import NamedTuple
 
 import pytest
 
 import cheshire as ch
 from cheshire import optics
-from cheshire.cli import _execute, _render_rows, main, parse_scenario_id
+from cheshire.cli import _execute, _render_rows, parse_scenario_id
+from conftest import run_cli
 
 GOOD_PROBLEM = """\
 photons 2
@@ -45,20 +44,6 @@ target path:1:L 0 0
 """
 
 
-class CliResult(NamedTuple):
-    exit_code: int
-    output: str  # stdout
-    stderr: str
-
-
-def run_cli(*args):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        with pytest.raises(SystemExit) as stop:
-            main(list(args))
-    return CliResult(stop.value.code, out.getvalue(), err.getvalue())
-
-
 # ---------------------------------------------------------------------------
 # scenario
 
@@ -67,10 +52,12 @@ def test_scenario_table_two_cat():
     result = run_cli("scenario", "two-cat")
     assert result.exit_code == 0
     lines = result.output.splitlines()
-    assert lines[0].startswith("photon")
-    assert "pattern match: PASS (tolerance 1e-10)" in result.output
-    assert any(line.endswith("=1") for line in lines)
-    assert any(line.endswith("=0") for line in lines)
+    assert lines[0].split() == ["photon", "kind", "arm", "re", "im", "flag"]
+    assert lines[1].split() == ["1", "path", "L", "1", "0", "=1"]
+    assert lines[2].split() == ["1", "path", "R", "0", "0", "=0"]
+    assert lines[9:] == [
+        "# overlap_re 0", "# overlap_im 0.408248290464", "# tolerance 1e-10", "# pattern_match PASS",
+    ]
 
 
 def test_scenario_json_single():
@@ -87,9 +74,10 @@ def test_scenario_csv_two_cat():
     result = run_cli("--format", "csv", "scenario", "two-cat")
     assert result.exit_code == 0
     lines = result.output.splitlines()
-    assert lines[0] == "photon,kind,arm,re,im"
-    assert lines[-1] == ",pattern_match,,PASS,"
-    assert len(lines) == 11  # header + 8 rows + overlap + verdict
+    assert lines[0] == "photon,kind,arm,re,im,flag"
+    assert lines[1] == "1,path,L,1,0,=1"
+    assert lines[-1] == "# pattern_match PASS"
+    assert len(lines) == 13  # header + 8 rows + overlap_re, overlap_im, tolerance, verdict
 
 
 def test_scenario_ncat_row_count():
@@ -111,7 +99,7 @@ def test_scenario_id_spellings(sid):
 def test_scenario_mismatch_exits_one():
     result = run_cli("--tol", "1e-300", "scenario", "general:theta=0.3,phi=0.7")
     assert result.exit_code == 1
-    assert "pattern match: FAIL" in result.output
+    assert result.output.splitlines()[-2:] == ["# tolerance 1e-300", "# pattern_match FAIL"]
 
 
 def test_scenario_degenerate_angle_exits_three():

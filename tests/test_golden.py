@@ -15,8 +15,6 @@ deliberate output change, or add one, with
     PYTHONPATH=src python tests/test_golden.py NAME ARGV...    # add or replace NAME
 """
 
-import contextlib
-import io
 import os
 import shlex
 import sys
@@ -24,34 +22,22 @@ from pathlib import Path
 
 import pytest
 
-from cheshire.cli import main
+from conftest import run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 CASES = sorted(GOLDEN.glob("*.txt"))
 
 
-def run(argv: list[str]) -> tuple[int, str]:
-    """Exit code and stdout of one in-process call; run from ROOT."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            main(argv)
-        except SystemExit as stop:
-            code = stop.code
-    return code, out.getvalue()
-
-
-def read_case(path: Path) -> tuple[list[str], str]:
-    """(argv, expected text after the command line)."""
-    command, _, rest = path.read_bytes().decode("utf-8").partition("\n")
+def read_argv(path: Path) -> list[str]:
+    command = path.read_bytes().decode("utf-8").partition("\n")[0]
     assert command.startswith("$ cheshire "), path.name
-    return shlex.split(command[len("$ cheshire "):]), rest
+    return shlex.split(command[len("$ cheshire "):])
 
 
 def render(argv: list[str]) -> str:
-    code, stdout = run(argv)
-    return f"$ cheshire {shlex.join(argv)}\nexit {code}\n{stdout}"
+    result = run_cli(*argv)
+    return f"$ cheshire {shlex.join(argv)}\nexit {result.exit_code}\n{result.output}"
 
 
 def test_corpus_found():
@@ -61,8 +47,7 @@ def test_corpus_found():
 @pytest.mark.parametrize("path", CASES, ids=lambda path: path.stem)
 def test_golden_case(path, monkeypatch):
     monkeypatch.chdir(ROOT)
-    argv, _ = read_case(path)
-    assert render(argv).encode("utf-8") == path.read_bytes()
+    assert render(read_argv(path)).encode("utf-8") == path.read_bytes()
 
 
 if __name__ == "__main__":
@@ -70,7 +55,7 @@ if __name__ == "__main__":
     if len(sys.argv) > 1:
         targets = {GOLDEN / f"{sys.argv[1]}.txt": sys.argv[2:]}
     else:
-        targets = {path: read_case(path)[0] for path in CASES}
+        targets = {path: read_argv(path) for path in CASES}
     for path, argv in targets.items():
         path.write_bytes(render(argv).encode("utf-8"))
         print(path.relative_to(ROOT))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import cheshire as ch
+from cheshire.cli import _flag
 from cheshire.errors import AnomalousSelectionError, InputError, ZeroNormError
 from conftest import (
     basis_ket,
@@ -16,6 +17,7 @@ from conftest import (
     dense_weak_value,
     ket_vec,
     random_ket,
+    run_cli,
 )
 
 C1 = ch.BasisConvention(1)
@@ -173,23 +175,28 @@ def test_report_row_order():
 
 
 def test_report_table_flags():
-    table = ch.weak_value_report(two_cat_pair()).to_table()
-    lines = table.splitlines()
-    assert lines[0].split() == ["photon", "kind", "arm", "Re", "Im", "flag"]
+    lines = run_cli("scenario", "two-cat").output.splitlines()
+    assert lines[0].split() == ["photon", "kind", "arm", "re", "im", "flag"]
     assert lines[1].endswith("=1")
     assert lines[2].endswith("=0")
-    assert "overlap" in lines[-1]
+    assert lines[-4:-2] == ["# overlap_re 0", "# overlap_im 0.408248290464"]
+
+
+def test_report_flags_only_values_near_zero_or_one():
+    assert [_flag(v) for v in (0j, 1 + 0j, 1e-12 + 1e-12j, 1 - 1e-12j)] == ["=0", "=1", "=0", "=1"]
+    assert [_flag(v) for v in (0.5 + 0j, 1 + 2e-12j, 2e-12 + 0j, -1 + 0j)] == ["", "", "", ""]
 
 
 def test_report_csv_shape():
-    csv_text = ch.weak_value_report(two_cat_pair()).to_csv()
-    lines = csv_text.strip().splitlines()
-    assert lines[0] == "photon,kind,arm,re,im"
-    assert len(lines) == 1 + 8 + 1  # header, entries, overlap
+    lines = run_cli("--format", "csv", "scenario", "two-cat").output.splitlines()
+    assert lines[0] == "photon,kind,arm,re,im,flag"
+    rows = [line for line in lines[1:] if not line.startswith("#")]
+    assert len(rows) == 8
+    assert [line.split(" ")[1] for line in lines[9:]] == ["overlap_re", "overlap_im", "tolerance", "pattern_match"]
 
 
 def test_report_json_parses():
-    payload = json.loads(ch.weak_value_report(two_cat_pair()).to_json_text())
+    payload = json.loads(run_cli("--format", "json", "scenario", "two-cat").output)
     assert payload["n_photons"] == 2
     assert len(payload["entries"]) == 8
     assert payload["overlap"]["im"] == pytest.approx(1 / math.sqrt(6))
