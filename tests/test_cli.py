@@ -109,7 +109,11 @@ def test_scenario_degenerate_angle_exits_three():
 
 
 @pytest.mark.parametrize(
-    "sid", ["bogus", "general:theta=pi/4,phi=0,theta=1", "general:phi=0", "n-cat:n=x"]
+    "sid",
+    [
+        "bogus", "general:theta=pi/4,phi=0,theta=1", "general:phi=0", "n-cat:n=x",
+        "n-cat:n=\u0661\u0662", "n-cat:n=+3", "n-cat:n=0_3", "n-cat:n= 3x",
+    ],
 )
 def test_scenario_bad_ids_exit_two(sid):
     assert run_cli("scenario", sid).exit_code == 2
@@ -528,6 +532,13 @@ def test_pointer_extreme_couplings_stay_finite(options):
 def test_pointer_bad_descriptor_exits_two():
     result = run_cli("pointer", "two-cat", "spin:1:L")
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("descriptor", ["path:+1:L", "grin:\u0661:R", "sigma:0_1"])
+def test_pointer_photon_index_in_ascii_digits_only(descriptor):
+    result = run_cli("pointer", "two-cat", descriptor)
+    assert result.exit_code == 2
+    assert "ASCII digits" in result.stderr
 
 
 @pytest.mark.parametrize("scenario_id,descriptor", [("n-cat:n=6", "grin:1:R"), ("n-cat:n=10", "sigma:3")])

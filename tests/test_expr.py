@@ -6,7 +6,7 @@ import pytest
 
 from cheshire import BasisConvention
 from cheshire.errors import FileParseError, InputError
-from cheshire.expr import Directives, parse_complex, parse_real
+from cheshire.expr import Directives, parse_complex, parse_natural, parse_real
 
 
 @pytest.mark.parametrize(
@@ -110,3 +110,14 @@ def test_directives_yield_words_and_read_photons():
     assert list(lines) == [(3, ["target", "a", "b"]), (5, ["pre", "x"])]
     assert lines.convention == BasisConvention(3)
 
+
+@pytest.mark.parametrize("text,value", [("0", 0), ("1", 1), ("12", 12), ("007", 7)])
+def test_parse_natural_reads_ascii_digits(text, value):
+    assert parse_natural(text, "n") == value
+
+
+# int() reads every one of these: other scripts' digits, a sign, an underscore, blanks
+@pytest.mark.parametrize("text", ["\u0661", "\u0661\u0662", "+1", "0_1", "-1", " 1", "1 ", "", "1.0", "\u00b2", "x"])
+def test_parse_natural_refuses_all_but_ascii_digits(text):
+    with pytest.raises(InputError, match="ASCII digits"):
+        parse_natural(text, "n")

@@ -621,6 +621,10 @@ def test_exact_and_calibration_paths_load_no_numpy():
 # circuit file parsing
 
 
+# a whole one-photon circuit after its photons line
+ONE_PHOTON_TAIL = "source ket path=L pol=H\ndetector D1 photon=1 mode=L pol=H\npostselect-on D1\n"
+
+
 @pytest.mark.parametrize(
     "text,line",
     [
@@ -653,6 +657,13 @@ def test_exact_and_calibration_paths_load_no_numpy():
         ("photons 1\nsource ket path=L pol=H\ndetector D1 photon=1 mode= pol=H\n", 3),
         ("photons 1\nelement bs name= in_a=L in_b=R t=1 r=0\n", 2),
         ("photons ²\n", 1),  # a digit to str.isdigit, not to int()
+        ("photons \u0661\n" + ONE_PHOTON_TAIL, 1),  # int() reads these as 1
+        ("photons +1\n" + ONE_PHOTON_TAIL, 1),
+        ("photons 0_1\n" + ONE_PHOTON_TAIL, 1),
+        ("photons 1\nelement hwp photon=\u0661 arm=L\n", 2),
+        ("photons 1\nelement hwp photon=+1 arm=L\n", 2),
+        ("photons 1\nelement pbs photon=0_1 ports=L,R\n", 2),
+        ("photons 1\nsource ket path=L pol=H\ndetector D1 photon=\u0661 mode=L pol=H\n", 3),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):

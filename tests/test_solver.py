@@ -293,6 +293,19 @@ def test_parse_problem_letter_labels_and_expressions():
         ("photons 1\nwhatever 1\n", 2),
         ("photons 1\npre 00 1\n", 2),
         ("photons ²\n", 1),  # a digit to str.isdigit, not to int()
+        ("photons \u0661\npre 00 1 0\ntarget path:1:L 1 0\n", 1),  # int() reads these three as 1
+        ("photons +1\npre 00 1 0\ntarget path:1:L 1 0\n", 1),
+        ("photons 0_1\npre 00 1 0\ntarget path:1:L 1 0\n", 1),
+        ("photons 1\npre 00 1 0\ntarget path:\u0661:L 1 0\n", 3),
+        ("photons 1\npre 00 1 0\ntarget path:+1:L 1 0\n", 3),
+        ("photons 1\npre 00 1 0\ntarget path:0_1:L 1 0\n", 3),
+        ("photons 1\npre 00 1 0\ntarget sigma:+1 1 0\n", 3),
+        # the first bad line in file order, wherever the photons line is
+        ("photons 1\npre 00 1 0\ntarget bogus 1 0\nwhatever\n", 3),
+        ("target bogus 1 0\nphotons 1\npre 00 1 0\nwhatever\n", 1),
+        ("target bogus 1 0\nphotons 1\nphotons 1\n", 1),
+        ("photons 1\ntarget bogus 1 0\nphotons 1\n", 2),
+        ("target path:1:L 1 0\ntarget bogus 1 0\nphotons 1\nwhatever\n", 2),
     ],
 )
 def test_parse_problem_errors_carry_line_numbers(text, line):

@@ -211,8 +211,9 @@ def test_observable_descriptor_forms():
     assert ch.apply(sigma, ch.make_ket(C1, {0: 1})).amplitudes == {1: 1j}
     with pytest.raises(InputError):
         ch.observable_from_descriptor(C1, "path:1")
-    with pytest.raises(InputError):
-        ch.observable_from_descriptor(C1, "path:x:L")
+    for index in ("x", "+1", "0_1", "\u0661", " 1"):
+        with pytest.raises(InputError):
+            ch.observable_from_descriptor(C1, f"path:{index}:L")
     with pytest.raises(InputError):
         ch.observable_from_descriptor(C1, "spin:1:L")
 
