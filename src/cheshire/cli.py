@@ -52,7 +52,7 @@ from .errors import (
     InputError,
     VacuousSelectionError,
 )
-from .expr import parse_real
+from .expr import parse_natural, parse_real
 
 if TYPE_CHECKING:
     from .scenarios import ScenarioId
@@ -180,11 +180,7 @@ def parse_scenario_id(text: str) -> ScenarioId:
         params = _parse_params(ident.split(":", 1)[1], {"n": "n"})
         if "n" not in params:
             raise InputError("n-cat scenario needs n=...")
-        try:
-            n = int(params["n"])
-        except ValueError:
-            raise InputError(f"n must be an integer, got {params['n']!r}") from None
-        return ScenarioId("n_cat", n=n)
+        return ScenarioId("n_cat", n=parse_natural(params["n"], "n"))
     raise InputError(
         f"unknown scenario id {text!r}; "
         "expected single, two-cat, general:theta=..,phi=.., or n-cat:n=.."

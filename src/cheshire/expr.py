@@ -10,8 +10,11 @@ NAME is pi, i or j and FUNC is sqrt, cos, sin, tan or exp, in any case. The
 text holds only ASCII letters, digits, '.+-*/()', spaces and tabs; arithmetic
 is complex, so files and parameters can say 1/sqrt(2) or pi/4 exactly.
 
-`Directives` reads the lines both file formats share: one directive per line,
-'#' starting a comment, and one `photons N` line.
+`parse_natural` reads every integer field of the file formats and the CLI
+(photon counts and indices, n): ASCII digits only, so no sign, underscore,
+blank or other script's digit that int() would take. `Directives` reads the
+lines both file formats share: one directive per line, '#' starting a
+comment, and one `photons N` line.
 """
 
 from __future__ import annotations
@@ -91,11 +94,18 @@ def parse_real(text: str) -> float:
     return value.real
 
 
+def parse_natural(text: str, what: str) -> int:
+    """A whole number written in ASCII digits and nothing else."""
+    if not (text.isascii() and text.isdigit()):
+        raise InputError(f"{what} must be a whole number in ASCII digits, got {text!r}")
+    return int(text)
+
+
 class Directives:
     """The directives of a file, in file order.
 
-    Iterating yields (line_no, words) for every directive except `photons N`,
-    which sets `convention` (once; N a positive integer, read by
+    Iterating yields (line_no, words) for every directive; a `photons N`
+    line first sets `convention` (once; N a positive integer, read by
     BasisConvention). Errors raise `error(message, line_no)`.
     """
 
@@ -109,14 +119,13 @@ class Directives:
             words = line.split("#", 1)[0].split()
             if not words:
                 continue
-            if words[0] != "photons":
-                yield line_no, words
-                continue
-            if self.convention is not None:
-                raise self.error("duplicate photons line", line_no)
-            if len(words) != 2 or not words[1].isdecimal():  # int() also reads "+1" and "1_0"
-                raise self.error("photons needs one positive integer", line_no)
-            try:
-                self.convention = BasisConvention(int(words[1]))
-            except InputError as exc:
-                raise self.error(str(exc), line_no) from None
+            if words[0] == "photons":
+                if self.convention is not None:
+                    raise self.error("duplicate photons line", line_no)
+                if len(words) != 2:
+                    raise self.error("photons needs one positive integer", line_no)
+                try:
+                    self.convention = BasisConvention(parse_natural(words[1], "photons"))
+                except InputError as exc:
+                    raise self.error(str(exc), line_no) from None
+            yield line_no, words

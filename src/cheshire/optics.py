@@ -78,7 +78,7 @@ from .errors import (
     InputError,
     ZeroNormError,
 )
-from .expr import Directives, parse_complex, parse_real
+from .expr import Directives, parse_complex, parse_natural, parse_real
 from .hilbert import PRUNE_THRESHOLD, BasisConvention, Ket
 
 Config = tuple[tuple[str, str], ...]
@@ -641,10 +641,7 @@ def _need(kv: dict[str, str], key: str) -> str:
 
 
 def _photon(kv: dict[str, str]) -> int:
-    try:
-        return int(_need(kv, "photon"))
-    except ValueError:
-        raise InputError("photon index must be an integer") from None
+    return parse_natural(_need(kv, "photon"), "photon index")
 
 
 def _ports(modes: str, pols: Sequence[str]) -> Config:
@@ -725,7 +722,7 @@ def parse_circuit(text: str) -> Circuit:
                 if postselect_on is not None:
                     raise InputError("duplicate postselect-on line")
                 postselect_on = args[0]
-            else:
+            elif word != "photons":
                 raise InputError(f"unknown directive {word!r}")
         except (InputError, CircuitConfigError) as exc:
             raise CircuitParseError(str(exc), line_no) from None

@@ -202,10 +202,19 @@ def verify(pre: Ket, post: Ket, targets: Sequence[WeakValueTarget]) -> float:
 # complex target value. '#' starts a comment.
 
 
+def _target(convention: hilbert.BasisConvention, line_no: int, descriptor: str, value: complex) -> WeakValueTarget:
+    try:
+        return WeakValueTarget(weakval.observable_from_descriptor(convention, descriptor), value)
+    except InputError as exc:
+        raise FileParseError(str(exc), line_no) from None
+
+
 def parse_problem_text(text: str) -> tuple[Ket, list[WeakValueTarget]]:
+    """The pre-state and targets of a problem file; a bad file raises at its first bad line."""
     lines = Directives(text, FileParseError)
     amps: dict[int, complex] = {}
-    raw_targets: list[tuple[str, complex, int]] = []
+    targets: list[WeakValueTarget] = []
+    waiting: list[tuple[int, str, complex]] = []  # target rows read before the photons line
     for line_no, words in lines:
         try:
             if words[0] == "pre":
@@ -219,27 +228,21 @@ def parse_problem_text(text: str) -> tuple[Ket, list[WeakValueTarget]]:
             elif words[0] == "target":
                 if len(words) != 4:
                     raise FileParseError("target rows are: target DESCRIPTOR RE IM", line_no)
-                raw_targets.append((words[1], complex(parse_real(words[2]), parse_real(words[3])), line_no))
-            else:
+                waiting.append((line_no, words[1], complex(parse_real(words[2]), parse_real(words[3]))))
+            elif words[0] != "photons":
                 raise FileParseError(f"unknown directive {words[0]!r}", line_no)
         except InputError as exc:
             raise FileParseError(str(exc), line_no) from None
-    convention = lines.convention
-    if convention is None:
+        if lines.convention is not None:
+            targets += [_target(lines.convention, *row) for row in waiting]
+            waiting.clear()
+    if lines.convention is None:
         raise FileParseError("missing photons line", 1)
     if not amps:
         raise FileParseError("no pre rows given", 1)
-    if not raw_targets:
+    if not targets:
         raise FileParseError("no target rows given", 1)
-    pre = hilbert.make_ket(convention, amps)
-    targets = []
-    for descriptor, value, line_no in raw_targets:
-        try:
-            obs = weakval.observable_from_descriptor(convention, descriptor)
-        except InputError as exc:
-            raise FileParseError(str(exc), line_no) from None
-        targets.append(WeakValueTarget(obs, value))
-    return pre, targets
+    return hilbert.make_ket(lines.convention, amps), targets
 
 
 def parse_problem_file(path) -> tuple[Ket, list[WeakValueTarget]]:

@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING
 
 from . import hilbert
 from .errors import AnomalousSelectionError, InputError
+from .expr import parse_natural
 from .hilbert import Ket, Operator
 
 if TYPE_CHECKING:
@@ -129,13 +130,10 @@ def observable_from_descriptor(convention: hilbert.BasisConvention, text: str) -
     parts = text.strip().split(":")
     if parts == ["id"]:
         return hilbert.identity_op(convention)
-    try:
-        if len(parts) == 2 and parts[0] == "sigma":
-            return hilbert.circular_sigma_z(convention, int(parts[1]))
-        if len(parts) == 3 and parts[0] in KINDS:
-            return observable_for(convention, parts[0], int(parts[1]), parts[2])
-    except ValueError:
-        raise InputError(f"bad photon index in observable descriptor {text!r}") from None
+    if len(parts) == 2 and parts[0] == "sigma":
+        return hilbert.circular_sigma_z(convention, parse_natural(parts[1], f"photon index in {text!r}"))
+    if len(parts) == 3 and parts[0] in KINDS:
+        return observable_for(convention, parts[0], parse_natural(parts[1], f"photon index in {text!r}"), parts[2])
     raise InputError(
         f"bad observable descriptor {text!r}; expected path:i:ARM, grin:i:ARM, sigma:i, or id"
     )

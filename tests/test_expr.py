@@ -107,7 +107,7 @@ def test_number_run_into_a_keyword_is_refused_silently(text, capsys):
 
 def test_directives_yield_words_and_read_photons():
     lines = Directives("# head\n\ntarget a  b # c\nphotons 3 # three\npre x\n", FileParseError)
-    assert list(lines) == [(3, ["target", "a", "b"]), (5, ["pre", "x"])]
+    assert list(lines) == [(3, ["target", "a", "b"]), (4, ["photons", "3"]), (5, ["pre", "x"])]
     assert lines.convention == BasisConvention(3)
 
 
