@@ -52,7 +52,7 @@ from .errors import (
     InputError,
     VacuousSelectionError,
 )
-from .expr import parse_natural, parse_real
+from .expr import parse_natural, parse_pairs, parse_real
 
 if TYPE_CHECKING:
     from .scenarios import ScenarioId
@@ -133,22 +133,7 @@ def _execute(action: Callable[[], int]) -> NoReturn:
     raise SystemExit(code)
 
 
-def _parse_params(text: str, aliases: dict[str, str]) -> dict[str, str]:
-    params: dict[str, str] = {}
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "=" not in chunk:
-            raise InputError(f"expected key=value in scenario parameters, got {chunk!r}")
-        key, value = chunk.split("=", 1)
-        key = aliases.get(key.strip(), key.strip())
-        if key not in aliases.values():
-            raise InputError(f"unknown scenario parameter {key!r}")
-        if key in params:
-            raise InputError(f"duplicate scenario parameter {key!r}")
-        params[key] = value.strip()
-    return params
+_GREEK = {"θ": "theta", "φ": "phi"}
 
 
 def parse_scenario_id(text: str) -> ScenarioId:
@@ -165,10 +150,7 @@ def parse_scenario_id(text: str) -> ScenarioId:
     if ident in ("two-cat", "two_cat"):
         return ScenarioId("two_cat")
     if ident.startswith(("general:",)):
-        params = _parse_params(
-            ident.split(":", 1)[1],
-            {"theta": "theta", "θ": "theta", "phi": "phi", "φ": "phi"},
-        )
+        params = parse_pairs(ident.split(":", 1)[1].split(","), ("theta", "phi"), aliases=_GREEK)
         if "theta" not in params:
             raise InputError("general scenario needs theta=... (or θ=...)")
         return ScenarioId(
@@ -177,7 +159,7 @@ def parse_scenario_id(text: str) -> ScenarioId:
             phi=parse_real(params.get("phi", "0")),
         )
     if ident.startswith(("n-cat:", "n_cat:")):
-        params = _parse_params(ident.split(":", 1)[1], {"n": "n"})
+        params = parse_pairs(ident.split(":", 1)[1].split(","), ("n",))
         if "n" not in params:
             raise InputError("n-cat scenario needs n=...")
         return ScenarioId("n_cat", n=parse_natural(params["n"], "n"))

@@ -10,7 +10,8 @@ NAME is pi, i or j and FUNC is sqrt, cos, sin, tan or exp, in any case. The
 text holds only ASCII letters, digits, '.+-*/()', spaces and tabs; arithmetic
 is complex, so files and parameters can say 1/sqrt(2) or pi/4 exactly.
 
-`parse_natural` reads every integer field of the file formats and the CLI
+`parse_pairs` reads the key=value settings of a circuit directive or a
+scenario id, and `parse_natural` every integer field of the file formats and the CLI
 (photon counts and indices, n): ASCII digits only, so no sign, underscore,
 blank or other script's digit that int() would take. `Directives` reads the
 lines both file formats share: one directive per line, '#' starting a
@@ -25,6 +26,7 @@ import math
 import operator
 import re
 import warnings
+from typing import Container, Iterable, Mapping
 
 from .errors import FileParseError, InputError
 
@@ -92,6 +94,37 @@ def parse_real(text: str) -> float:
     if abs(value.imag) > 1e-12:
         raise InputError(f"expression {text!r} must be real, got imaginary part {value.imag}")
     return value.real
+
+
+def parse_pairs(
+    parts: Iterable[str], keys: Container[str], flags: Container[str] = (), aliases: Mapping[str, str] = {}
+) -> dict[str, str]:
+    """Values by key from key=value parts; a part without '=' is a flag, which maps to "".
+
+    Each key comes at most once with a nonempty value, and only the given
+    keys and flags are accepted. Blanks around a key or value are dropped and
+    blank parts skipped; `aliases` maps other spellings to their key.
+    """
+    pairs: dict[str, str] = {}
+    for part in parts:
+        key, eq, value = part.partition("=")
+        key, value = key.strip(), value.strip()
+        if aliases:
+            key = aliases.get(key, key)
+        if not eq:
+            if key in flags:
+                pairs[key] = ""
+            elif key:  # a blank part is skipped
+                raise InputError(f"unknown flag {key!r}")
+        elif key not in keys:
+            raise InputError(f"unknown key {key!r}")
+        elif key in pairs:
+            raise InputError(f"duplicate key {key!r}")
+        elif not value:
+            raise InputError(f"empty value for {key!r}")
+        else:
+            pairs[key] = value
+    return pairs
 
 
 def parse_natural(text: str, what: str) -> int:

@@ -78,7 +78,7 @@ from .errors import (
     InputError,
     ZeroNormError,
 )
-from .expr import Directives, parse_complex, parse_natural, parse_real
+from .expr import Directives, parse_complex, parse_natural, parse_pairs, parse_real
 from .hilbert import PRUNE_THRESHOLD, BasisConvention, Ket
 
 Config = tuple[tuple[str, str], ...]
@@ -614,26 +614,6 @@ _ELEMENT_KEYS = {
 }
 
 
-def _split_kv(parts: list[str], keys: Sequence[str], known_flags=()) -> dict[str, str]:
-    """key=value parts by key; a known flag maps to ""."""
-    kv: dict[str, str] = {}
-    for part in parts:
-        key, eq, value = part.partition("=")
-        if not eq:
-            if part not in known_flags:
-                raise InputError(f"unknown flag {part!r}")
-            kv[part] = ""
-        elif key not in keys:
-            raise InputError(f"unknown key {key!r}")
-        elif key in kv:
-            raise InputError(f"duplicate key {key!r}")
-        elif not value:
-            raise InputError(f"empty value for {key!r}")
-        else:
-            kv[key] = value
-    return kv
-
-
 def _need(kv: dict[str, str], key: str) -> str:
     if key not in kv:
         raise InputError(f"missing {key}=...")
@@ -687,10 +667,10 @@ def parse_circuit(text: str) -> Circuit:
                 if kind not in ("spdc", "ket"):
                     raise InputError(f"source kind must be spdc or ket, got {kind!r}")
                 if kind == "spdc":
-                    modes = _need(_split_kv(args, ("modes",)), "modes")
+                    modes = _need(parse_pairs(args, ("modes",)), "modes")
                     source = {_ports(modes, pols): _INV_SQRT2 + 0j for pols in (("H", "V"), ("V", "H"))}
                 else:
-                    kv = _split_kv(args, ("path", "pol"))
+                    kv = parse_pairs(args, ("path", "pol"))
                     source = {_ports(_need(kv, "path"), _need(kv, "pol").split(",")): 1.0 + 0j}
                 _check_source(source, n)
             elif word == "element":
@@ -698,7 +678,7 @@ def parse_circuit(text: str) -> Circuit:
                 if kind not in _ELEMENT_KEYS:
                     raise InputError(f"element kind must be one of {', '.join(_ELEMENT_KEYS)}, got {kind!r}")
                 flags_known = ("adjustable",) if kind == "bs" else ()
-                el = _element(kind, _split_kv(args, _ELEMENT_KEYS[kind], flags_known))
+                el = _element(kind, parse_pairs(args, _ELEMENT_KEYS[kind], flags_known))
                 _check_element(el, n, splitter_names)
                 (post if seen_marker else pre).append(el)
             elif word == "postselection":
@@ -710,7 +690,7 @@ def parse_circuit(text: str) -> Circuit:
             elif word == "detector":
                 if not args:
                     raise InputError("detector needs a label")
-                kv = _split_kv(args[1:], ("photon", "mode", "pol"))
+                kv = parse_pairs(args[1:], ("photon", "mode", "pol"))
                 port = (_photon(kv), _need(kv, "mode"), _need(kv, "pol"))
                 _check_detector(port, args[0], n)
                 if port in detectors:

@@ -6,7 +6,7 @@ import pytest
 
 from cheshire import BasisConvention
 from cheshire.errors import FileParseError, InputError
-from cheshire.expr import Directives, parse_complex, parse_natural, parse_real
+from cheshire.expr import Directives, parse_complex, parse_natural, parse_pairs, parse_real
 
 
 @pytest.mark.parametrize(
@@ -121,3 +121,26 @@ def test_parse_natural_reads_ascii_digits(text, value):
 def test_parse_natural_refuses_all_but_ascii_digits(text):
     with pytest.raises(InputError, match="ASCII digits"):
         parse_natural(text, "n")
+
+
+def test_parse_pairs_reads_keys_flags_and_aliases():
+    assert parse_pairs(["t=1", "adjustable", "name=BS1"], ("name", "t"), ("adjustable",)) == {
+        "t": "1", "adjustable": "", "name": "BS1",
+    }
+    assert parse_pairs(" θ = pi/4 ,, phi=0 ,".split(","), ("theta", "phi"), aliases={"θ": "theta"}) == {
+        "theta": "pi/4", "phi": "0",
+    }
+
+
+@pytest.mark.parametrize(
+    "parts,message",
+    [
+        (["fast"], "unknown flag 'fast'"),
+        (["psi=1"], "unknown key 'psi'"),
+        (["theta=1", "θ=2"], "duplicate key 'theta'"),
+        (["theta= "], "empty value for 'theta'"),
+    ],
+)
+def test_parse_pairs_refuses(parts, message):
+    with pytest.raises(InputError, match=message):
+        parse_pairs(parts, ("theta",), aliases={"θ": "theta"})
