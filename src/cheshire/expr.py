@@ -11,11 +11,11 @@ text holds only ASCII letters, digits, '.+-*/()', spaces and tabs; arithmetic
 is complex, so files and parameters can say 1/sqrt(2) or pi/4 exactly.
 
 `parse_pairs` reads the key=value settings of a circuit directive or a
-scenario id, and `parse_natural` every integer field of the file formats and the CLI
-(photon counts and indices, n): ASCII digits only, so no sign, underscore,
-blank or other script's digit that int() would take. `Directives` reads the
-lines both file formats share: one directive per line, '#' starting a
-comment, and one `photons N` line.
+scenario id. `parse_natural` reads every integer field of the file formats
+and the CLI (photon counts and indices, n) in ASCII digits only: no sign,
+underscore, blank or other script's digit, all of which int() takes.
+`Directives` reads the lines both file formats share: one directive per line,
+'#' starting a comment, and one `photons N` line.
 """
 
 from __future__ import annotations
@@ -97,7 +97,10 @@ def parse_real(text: str) -> float:
 
 
 def parse_pairs(
-    parts: Iterable[str], keys: Container[str], flags: Container[str] = (), aliases: Mapping[str, str] = {}
+    parts: Iterable[str],
+    keys: Container[str],
+    flags: Container[str] = (),
+    aliases: Mapping[str, str] | None = None,
 ) -> dict[str, str]:
     """Values by key from key=value parts; a part without '=' is a flag, which maps to "".
 

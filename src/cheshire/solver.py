@@ -202,7 +202,9 @@ def verify(pre: Ket, post: Ket, targets: Sequence[WeakValueTarget]) -> float:
 # complex target value. '#' starts a comment.
 
 
-def _target(convention: hilbert.BasisConvention, line_no: int, descriptor: str, value: complex) -> WeakValueTarget:
+def _target(
+    convention: hilbert.BasisConvention, line_no: int, descriptor: str, value: complex
+) -> WeakValueTarget:
     try:
         return WeakValueTarget(weakval.observable_from_descriptor(convention, descriptor), value)
     except InputError as exc:

@@ -130,10 +130,11 @@ def observable_from_descriptor(convention: hilbert.BasisConvention, text: str) -
     parts = text.strip().split(":")
     if parts == ["id"]:
         return hilbert.identity_op(convention)
+    what = f"photon index in {text!r}"
     if len(parts) == 2 and parts[0] == "sigma":
-        return hilbert.circular_sigma_z(convention, parse_natural(parts[1], f"photon index in {text!r}"))
+        return hilbert.circular_sigma_z(convention, parse_natural(parts[1], what))
     if len(parts) == 3 and parts[0] in KINDS:
-        return observable_for(convention, parts[0], parse_natural(parts[1], f"photon index in {text!r}"), parts[2])
+        return observable_for(convention, parts[0], parse_natural(parts[1], what), parts[2])
     raise InputError(
         f"bad observable descriptor {text!r}; expected path:i:ARM, grin:i:ARM, sigma:i, or id"
     )
