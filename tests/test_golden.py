@@ -47,7 +47,7 @@ def test_corpus_found():
 @pytest.mark.parametrize("path", CASES, ids=lambda path: path.stem)
 def test_golden_case(path, monkeypatch):
     monkeypatch.chdir(ROOT)
-    assert render(read_argv(path)).encode("utf-8") == path.read_bytes()
+    assert render(read_argv(path)) == path.read_bytes().decode("utf-8")
 
 
 if __name__ == "__main__":
