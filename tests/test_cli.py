@@ -248,6 +248,23 @@ def test_solve_overflowing_norm_exits_two(tmp_path, pre_rows):
     assert "squared norm overflows" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "pre_rows,line,message",
+    [
+        ("pre 00 1e200 0\n", 2, "squared norm overflows"),
+        ("pre 00 1e154 0\npre 01 1e154 0\n", 3, "squared norm overflows"),
+        ("pre 00 0 0\n", 2, "pre-state is the zero vector"),
+    ],
+    ids=["overflow", "overflowing-sum", "zero"],
+)
+def test_solve_unusable_pre_state_names_the_last_pre_row(tmp_path, pre_rows, line, message):
+    path = tmp_path / "unusable.problem"
+    path.write_text("photons 1\n" + pre_rows + "target path:1:L 1 0\n")
+    result = run_cli("solve", str(path))
+    assert result.exit_code == 2
+    assert f"error: line {line}: {message}" in result.stderr
+
+
 def test_solve_missing_file_exits_four(tmp_path):
     result = run_cli("solve", str(tmp_path / "absent.problem"))
     assert result.exit_code == 4
@@ -489,6 +506,13 @@ def test_pointer_table_output():
 def test_pointer_bad_schedule_exits_two(g_text):
     result = run_cli("pointer", "two-cat", "grin:1:R", "--g", g_text)
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("g_option", [("--g=-1e-2,1e-2",), ("--g", "0,1e-2")], ids=["negative", "zero"])
+def test_pointer_nonpositive_coupling_exits_two(g_option):
+    result = run_cli("pointer", "two-cat", "grin:1:R", *g_option)
+    assert result.exit_code == 2
+    assert "g must be finite and positive" in result.stderr
 
 
 @pytest.mark.parametrize("sigma_p", ["nan", "inf"])

@@ -389,7 +389,7 @@ def test_term_form_columns_equal_closures(n):
     for op, ref in _operator_pairs(conv):
         for k in range(conv.dim):
             got = ch.apply(op, ch.make_ket(conv, {k: 1})).amplitudes
-            assert got == {j: v for j, v in ref(k).items() if v != 0}, (op.name, k)
+            assert got == {j: v for j, v in ref(k).items() if v != 0}, (op.terms, k)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -403,9 +403,9 @@ def test_hermiticity_verdicts_match_dense_check(n):
             try:
                 ch.WeakValueTarget(ch.op_scale(c, op), 0.5)
             except InputError:
-                assert want_reject, op.name
+                assert want_reject, (op.terms, c)
             else:
-                assert not want_reject, op.name
+                assert not want_reject, (op.terms, c)
     assert rejected > 0
 
 
@@ -450,7 +450,7 @@ def _assert_matrix_element_matches(bra, op, ket, size=None):
     want = ch.inner(bra, ch.apply(op, ket))
     if size is None:
         size = sum(abs(c) for *_, c in op.terms)
-    assert abs(got - want) <= 1e-12 * bra.norm() * ket.norm() * size, (op.name, got, want)
+    assert abs(got - want) <= 1e-12 * bra.norm() * ket.norm() * size, (op.terms, got, want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -373,6 +373,72 @@ def test_probability_conservation_random_sources():
 
 
 # ---------------------------------------------------------------------------
+# exact runs against the eager grouping they replaced
+
+
+def eager_outcomes(circuit: ch.Circuit) -> dict:
+    """Pattern -> (probability, renormalized state), patterns sorted and each
+    state's configurations sorted: the grouping run_exact once did for every
+    pattern, kept as the reference for the one it does on demand."""
+    state = optics.propagate(optics.propagate(circuit.source, circuit.pre_elements), circuit.post_elements)
+    grouped = {}
+    for config, amp in state.items():
+        labels = {circuit.detectors[(photon, *port)] for photon, port in enumerate(config, start=1)}
+        grouped.setdefault("+".join(sorted(labels)), {})[config] = amp
+    outcomes = {}
+    for pattern in sorted(grouped):
+        block = grouped[pattern]
+        prob = sum(abs(a) ** 2 for a in block.values())
+        scale = 1 / math.sqrt(prob)
+        outcomes[pattern] = (prob, {c: a * scale for c, a in sorted(block.items())})
+    return outcomes
+
+
+def benchmark_detuned_texts(count: int, seed: int = 1) -> list[str]:
+    """The detuned copies of the bundled device that the benchmark's optics
+    workload builds at `seed`, from its own generator and `detuned_text`."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import workloads
+    finally:
+        del sys.path[0]
+    # bench/workload.py seeds each workload with [its index in BUILDERS, seed]
+    rng = np.random.default_rng([list(workloads.BUILDERS).index("optics"), seed])
+    text = workloads.bundled_text()
+    return [workloads.detuned_text(rng, text) for _ in range(count)]
+
+
+def test_exact_results_equal_the_eager_grouping():
+    """Bit for bit and in the same order, on the bundled device and 40 detuned copies."""
+    circuits = [ch.two_cat_device()] + [optics.parse_circuit(t) for t in benchmark_detuned_texts(40)]
+    for i, circ in enumerate(circuits):
+        result = ch.run_exact(circ)
+        want = eager_outcomes(circ)
+        assert list(result.probabilities().items()) == [(p, prob) for p, (prob, _) in want.items()], i
+        for pattern, (prob, state) in want.items():
+            assert result.probability(pattern) == prob, (i, pattern)
+            got = result.conditional(pattern)
+            assert list(got.items()) == list(state.items()), (i, pattern)
+        assert result.success_probability == want.get(circ.postselect_on, (0.0,))[0], i
+        assert result.probability("nowhere") == 0.0
+        assert type(result.probability("nowhere")) is float
+
+
+@pytest.mark.parametrize("seed", [3, 7, 11])
+def test_monte_carlo_counts_equal_draws_from_the_eager_probabilities(seed):
+    shots = 2 * 4096 + 17
+    for circ in (ch.two_cat_device(), optics.parse_circuit(benchmark_detuned_texts(1)[0])):
+        outcomes = eager_outcomes(circ)
+        p = np.array([prob for prob, _ in outcomes.values()])
+        want = sum(
+            np.random.default_rng([seed, b]).multinomial(min(4096, shots - 4096 * b), p / p.sum())
+            for b in range(3)
+        )
+        got = ch.run_monte_carlo(circ, shots=shots, seed=seed).counts
+        assert list(got.items()) == list(zip(outcomes, (int(c) for c in want)))
+
+
+# ---------------------------------------------------------------------------
 # calibration
 
 

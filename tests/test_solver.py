@@ -306,6 +306,11 @@ def test_parse_problem_letter_labels_and_expressions():
         ("target bogus 1 0\nphotons 1\nphotons 1\n", 1),
         ("photons 1\ntarget bogus 1 0\nphotons 1\n", 2),
         ("target path:1:L 1 0\ntarget bogus 1 0\nphotons 1\nwhatever\n", 2),
+        # rows that parse but sum to no usable pre-state: the last pre row
+        ("photons 1\npre 00 1e200 0\ntarget path:1:L 1 0\n", 2),
+        ("photons 1\npre 00 0 0\ntarget path:1:L 1 0\n", 2),
+        ("photons 1\npre 00 1e154 0\ntarget path:1:L 1 0\npre 01 1e154 0\n", 4),
+        ("photons 1\npre 00 1 0\npre 00 -1 0\ntarget path:1:L 1 0\n", 3),
     ],
 )
 def test_parse_problem_errors_carry_line_numbers(text, line):
@@ -326,7 +331,9 @@ def test_parse_problem_accepts_targets_before_photons():
     text = "target path:1:L 1 0\nphotons 1\npre 00 1 0\n"
     pre, targets = solver.parse_problem_text(text)
     assert pre.amplitudes == {0: 1.0}
-    assert [(t.observable.name, t.target) for t in targets] == [("path:1:L", 1.0)]
+    assert [(t.observable.terms, t.target) for t in targets] == [
+        (ch.path_projector(ch.BasisConvention(1), 1, "L").terms, 1.0)
+    ]
 
 
 def test_parse_problem_comments_as_in_circuit_files():

@@ -298,7 +298,7 @@ def test_pointer_rejects_non_hermitian_observable():
     pair = ch.two_cat()
     mat = np.zeros((C2.dim, C2.dim), dtype=complex)
     mat[4, 8] = 1.0
-    obs = ch.operator_from_dense(C2, mat, "|0100><1000|")
+    obs = ch.operator_from_dense(C2, mat)
     assert ch.weak_value(obs, pair) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(InputError, match="not Hermitian"):
         ch.pointer_shift(obs, pair, ch.PointerConfig(g=1e-2))
@@ -381,7 +381,7 @@ def test_weak_value_matches_applied_state_on_random_pairs():
         for obs in named:
             for op in (obs, ch.op_add(obs, sigma), ch.op_compose(obs, sigma), ch.op_scale(0.3 - 0.7j, obs)):
                 want = applied_state_weak_value(op, pair)
-                assert ch.weak_value(op, pair) == pytest.approx(want, rel=1e-12, abs=1e-12), op.name
+                assert ch.weak_value(op, pair) == pytest.approx(want, rel=1e-12, abs=1e-12), (seed, op.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -482,4 +482,4 @@ def test_pointer_matches_dense_reference(name):
             cfg = ch.PointerConfig(g=g)
             got = ch.pointer_shift(obs, pair, cfg)
             want = dense_pointer_shift(matrix, pair, cfg)
-            assert got == pytest.approx(want, abs=1e-12), (obs.name, g)
+            assert got == pytest.approx(want, abs=1e-12), (obs.terms, g)
