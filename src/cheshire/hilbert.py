@@ -259,7 +259,6 @@ class Operator:
 
     convention: BasisConvention
     terms: tuple[tuple[int, int, complex], ...] = ()
-    name: str = ""
 
     def hermitian_defect(self) -> float:
         """Bound on the entries of O - O^dagger: max over x of sum_z |d(x, z)|.
@@ -342,7 +341,7 @@ def matrix_element(bra: Ket, op: Operator, ket: Ket) -> complex:
 
 
 def identity_op(convention: BasisConvention) -> Operator:
-    return Operator(convention, ((0, 0, 1.0 + 0j),), "identity")
+    return Operator(convention, ((0, 0, 1.0 + 0j),))
 
 
 # +-1/2, the coefficient of Z_path in (I +- Z_path)/2, and i times it
@@ -359,7 +358,7 @@ def _path_mask(convention: BasisConvention, photon: int, arm: str) -> int:
 def path_projector(convention: BasisConvention, photon: int, arm: str) -> Operator:
     """|arm><arm| on the path factor of one photon, identity elsewhere: (I +- Z_path)/2."""
     p = _path_mask(convention, photon, arm)
-    return Operator(convention, ((0, 0, 0.5 + 0j), (0, p, _ARM_HALVES[arm][0])), f"path:{photon}:{arm}")
+    return Operator(convention, ((0, 0, 0.5 + 0j), (0, p, _ARM_HALVES[arm][0])))
 
 
 def circular_sigma_z(convention: BasisConvention, photon: int) -> Operator:
@@ -370,7 +369,7 @@ def circular_sigma_z(convention: BasisConvention, photon: int) -> Operator:
     """
     convention.check_photon(photon)
     m = 1 << convention.bit_position(convention.n_photons + photon - 1)
-    return Operator(convention, ((m, m, 1j),), f"sigma:{photon}")
+    return Operator(convention, ((m, m, 1j),))
 
 
 def grin_observable(convention: BasisConvention, photon: int, arm: str) -> Operator:
@@ -381,7 +380,7 @@ def grin_observable(convention: BasisConvention, photon: int, arm: str) -> Opera
     """
     p = _path_mask(convention, photon, arm)
     m = p >> convention.n_photons  # a photon's polarization bit sits n places below its path bit
-    return Operator(convention, ((m, m, 0.5j), (m, m | p, _ARM_HALVES[arm][1])), f"grin:{photon}:{arm}")
+    return Operator(convention, ((m, m, 0.5j), (m, m | p, _ARM_HALVES[arm][1])))
 
 
 def _merged(terms: Iterable[tuple[int, int, complex]]) -> tuple[tuple[int, int, complex], ...]:
@@ -395,12 +394,12 @@ def _merged(terms: Iterable[tuple[int, int, complex]]) -> tuple[tuple[int, int, 
 def op_add(a: Operator, b: Operator) -> Operator:
     if a.convention != b.convention:
         raise InputError("operator sum between mixed conventions")
-    return Operator(a.convention, _merged(a.terms + b.terms), f"({a.name}+{b.name})")
+    return Operator(a.convention, _merged(a.terms + b.terms))
 
 
 def op_scale(c: complex, a: Operator) -> Operator:
-    cc = complex(c)
-    return Operator(a.convention, _merged((x, z, cc * v) for x, z, v in a.terms), f"{c}*{a.name}")
+    c = complex(c)
+    return Operator(a.convention, _merged((x, z, c * v) for x, z, v in a.terms))
 
 
 def op_compose(a: Operator, b: Operator) -> Operator:
@@ -416,10 +415,10 @@ def op_compose(a: Operator, b: Operator) -> Operator:
         for x1, z1, c1 in a.terms
         for x2, z2, c2 in b.terms
     )
-    return Operator(a.convention, _merged(products), f"({a.name}@{b.name})")
+    return Operator(a.convention, _merged(products))
 
 
-def operator_from_dense(convention: BasisConvention, matrix: np.ndarray, name: str = "") -> Operator:
+def operator_from_dense(convention: BasisConvention, matrix: np.ndarray) -> Operator:
     """Pauli expansion of a dense matrix M: c(x, z) = sum_k (-1)^popcount(k & z) M[k ^ x, k] / dim.
 
     Row x gathers M[k ^ x, k] over k and one Walsh-Hadamard butterfly over k
@@ -442,4 +441,4 @@ def operator_from_dense(convention: BasisConvention, matrix: np.ndarray, name: s
         h *= 2
     coeffs = coeffs.reshape(dim, dim) / dim
     terms = tuple((int(x), int(z), complex(coeffs[x, z])) for x, z in zip(*np.nonzero(coeffs)))
-    return Operator(convention, terms, name)
+    return Operator(convention, terms)

@@ -40,10 +40,12 @@ Circuit description file, one directive per line ('#' starts a comment):
 Numeric parameters are arithmetic expressions (pi, i, sqrt, ...). Elements
 before the `postselection` marker form the pre-selection block; the rest is
 the post-selection block. Detector lines bind (photon, mode, polarization)
-ports to labels; a run groups final configurations by their coincidence
-pattern (the sorted set of labels the photons land on, joined with '+'), and
-the `postselect-on` label names the success pattern in which every photon
-lands on that detector. A directive refuses keys and flags it does not know.
+ports to labels; an exact run keeps the final amplitudes grouped by their
+coincidence pattern (the sorted set of labels the photons land on, joined
+with '+') and computes a pattern's probability or conditional state only
+when asked. The `postselect-on` label names the success pattern in which
+every photon lands on that detector. A directive refuses keys and flags it
+does not know.
 
 The circuit rules, each checked in one place: `Circuit` checks them all on
 construction, and the parser checks each line's as it reads it.
@@ -338,45 +340,47 @@ def run_pre_block(circuit: Circuit) -> Ket:
 
 
 @dataclass(frozen=True)
-class PatternOutcome:
-    probability: float
-    state: OpticsState  # renormalized conditional state
-
-
-@dataclass(frozen=True)
 class ExactResult:
-    patterns: dict[str, PatternOutcome]
+    """The final amplitudes of an exact run, grouped by coincidence pattern.
+
+    `blocks` maps every pattern that some amplitude reached, keys sorted, to
+    its configurations and amplitudes in propagation order. A pattern's
+    probability is the sum of its |amplitude|^2 (0.0 for a pattern nothing
+    reached), and its conditional state is its block renormalized with the
+    configurations sorted; both are computed when asked for.
+    """
+
+    blocks: dict[str, OpticsState]
     success_pattern: str
 
     def probabilities(self) -> dict[str, float]:
-        return {p: o.probability for p, o in sorted(self.patterns.items())}
+        return {p: self.probability(p) for p in self.blocks}
 
     def probability(self, pattern: str) -> float:
-        outcome = self.patterns.get(pattern)
-        return outcome.probability if outcome else 0.0
+        block = self.blocks.get(pattern)
+        return sum(abs(a) ** 2 for a in block.values()) if block else 0.0
 
     @property
     def success_probability(self) -> float:
         return self.probability(self.success_pattern)
 
     def conditional(self, pattern: str) -> OpticsState:
-        if pattern not in self.patterns:
+        if pattern not in self.blocks:
             raise InputError(f"no amplitude reached pattern {pattern!r}")
-        return dict(self.patterns[pattern].state)
+        scale = 1 / math.sqrt(self.probability(pattern))
+        return {c: a * scale for c, a in sorted(self.blocks[pattern].items())}
 
 
 @dataclass(frozen=True)
 class ClickRecord:
     """Coincidence-pattern counts from a seeded Monte Carlo run.
 
-    Keys are the same pattern strings run_exact reports; a singleton pattern
+    Keys are the patterns run_exact reaches, sorted; a singleton pattern
     such as "D5" counts the events in which every photon landed on that
     detector and nothing else clicked.
     """
 
     counts: dict[str, int]
-    shots: int
-    seed: int
 
 
 def run_exact(circuit: Circuit) -> ExactResult:
@@ -396,16 +400,7 @@ def run_exact(circuit: Circuit) -> ExactResult:
             labels.add(label)
         pattern = "+".join(sorted(labels))
         grouped.setdefault(pattern, {})[config] = amp
-    patterns: dict[str, PatternOutcome] = {}
-    for pattern in sorted(grouped):
-        block = grouped[pattern]
-        prob = sum(abs(a) ** 2 for a in block.values())
-        scale = 1 / math.sqrt(prob)
-        patterns[pattern] = PatternOutcome(
-            probability=prob,
-            state={c: a * scale for c, a in sorted(block.items())},
-        )
-    return ExactResult(patterns, circuit.postselect_on)
+    return ExactResult({p: grouped[p] for p in sorted(grouped)}, circuit.postselect_on)
 
 
 def run_monte_carlo(circuit: Circuit, shots: int, seed: int) -> ClickRecord:
@@ -416,19 +411,14 @@ def run_monte_carlo(circuit: Circuit, shots: int, seed: int) -> ClickRecord:
         raise InputError(f"seed must be a nonnegative integer, got {seed}")
     import numpy as np
 
-    exact = run_exact(circuit)
-    names = sorted(exact.patterns)
-    probs = np.array([exact.patterns[p].probability for p in names])
+    exact = run_exact(circuit).probabilities()
+    probs = np.array(list(exact.values()))
     probs /= probs.sum()
-    totals = np.zeros(len(names), dtype=np.int64)
+    totals = np.zeros(len(exact), dtype=np.int64)
     for block in range((shots + _BLOCK - 1) // _BLOCK):
         rng = np.random.default_rng([seed, block])
         totals += rng.multinomial(min(_BLOCK, shots - block * _BLOCK), probs)
-    return ClickRecord(
-        counts={name: int(c) for name, c in zip(names, totals)},
-        shots=shots,
-        seed=seed,
-    )
+    return ClickRecord({name: int(c) for name, c in zip(exact, totals)})
 
 
 # ---------------------------------------------------------------------------

@@ -234,7 +234,7 @@ def pointer_shift(obs: Operator, pair: PrePostPair, cfg: PointerConfig) -> tuple
     pre = hilbert.normalize(pair.pre)
     post = hilbert.normalize(pair.post)
     if obs.hermitian_defect() > hilbert.HERMITIAN_TOL:
-        raise InputError(f"observable {obs.name or '(unnamed)'} is not Hermitian within 1e-12")
+        raise InputError("observable is not Hermitian within 1e-12")
     basis, proj_op = _krylov_projection(obs, pre)
     vals, vecs = np.linalg.eigh(proj_op)
     a = vecs[0].conj()  # <lambda|pre>, since pre is the first basis vector
