@@ -258,19 +258,19 @@ def _pointer(args: argparse.Namespace) -> int:
     pair = scenarios.build_pair(sid)
     obs = weakval.observable_from_descriptor(pair.convention, args.descriptor)
     w = weakval.weak_value(obs, pair)
-    couplings = [parse_real(tok) for tok in args.g.split(",") if tok.strip()]
-    if any(g <= 0 for g in couplings):
-        raise InputError("couplings must be positive")
+    configs = [
+        weakval.PointerConfig(g=parse_real(tok), sigma_p=args.sigma_p) for tok in args.g.split(",") if tok.strip()
+    ]
+    couplings = [cfg.g for cfg in configs]
     if len(set(couplings)) < 2:
         raise InputError("--g needs at least two distinct couplings to test convergence")
     rows = []
     deviations = []
-    for g in couplings:
-        cfg = weakval.PointerConfig(g=g, sigma_p=args.sigma_p)
+    for cfg in configs:
         mean_x, _ = weakval.pointer_shift(obs, pair, cfg)
-        ratio = mean_x / g
+        ratio = mean_x / cfg.g
         deviation = abs(ratio - w.real)
-        rows.append((g, ratio, deviation))
+        rows.append((cfg.g, ratio, deviation))
         deviations.append(deviation)
     ok = True
     for (g_prev, g_next, d_prev, d_next) in zip(

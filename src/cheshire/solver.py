@@ -215,6 +215,7 @@ def parse_problem_text(text: str) -> tuple[Ket, list[WeakValueTarget]]:
     """The pre-state and targets of a problem file; a bad file raises at its first bad line."""
     lines = Directives(text, FileParseError)
     amps: dict[int, complex] = {}
+    last_pre = 0  # the line where the pre rows' sum is complete
     targets: list[WeakValueTarget] = []
     waiting: list[tuple[int, str, complex]] = []  # target rows read before the photons line
     for line_no, words in lines:
@@ -227,6 +228,7 @@ def parse_problem_text(text: str) -> tuple[Ket, list[WeakValueTarget]]:
                 # token-form labels contain spaces; the last two fields are Re, Im
                 k = lines.convention.index_of_label(" ".join(words[1:-2]))
                 amps[k] = amps.get(k, 0j) + complex(parse_real(words[-2]), parse_real(words[-1]))
+                last_pre = line_no
             elif words[0] == "target":
                 if len(words) != 4:
                     raise FileParseError("target rows are: target DESCRIPTOR RE IM", line_no)
@@ -244,7 +246,13 @@ def parse_problem_text(text: str) -> tuple[Ket, list[WeakValueTarget]]:
         raise FileParseError("no pre rows given", 1)
     if not targets:
         raise FileParseError("no target rows given", 1)
-    return hilbert.make_ket(lines.convention, amps), targets
+    try:
+        pre = hilbert.make_ket(lines.convention, amps)
+    except InputError as exc:
+        raise FileParseError(str(exc), last_pre) from None
+    if not pre.amplitudes:
+        raise FileParseError("pre-state is the zero vector", last_pre)
+    return pre, targets
 
 
 def parse_problem_file(path) -> tuple[Ket, list[WeakValueTarget]]:

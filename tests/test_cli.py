@@ -262,7 +262,8 @@ def test_solve_unusable_pre_state_names_the_last_pre_row(tmp_path, pre_rows, lin
     path.write_text("photons 1\n" + pre_rows + "target path:1:L 1 0\n")
     result = run_cli("solve", str(path))
     assert result.exit_code == 2
-    assert f"error: line {line}: {message}" in result.stderr
+    assert result.stderr.startswith(f"error: line {line}: ")
+    assert message in result.stderr
 
 
 def test_solve_missing_file_exits_four(tmp_path):
