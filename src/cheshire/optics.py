@@ -411,14 +411,14 @@ def run_monte_carlo(circuit: Circuit, shots: int, seed: int) -> ClickRecord:
         raise InputError(f"seed must be a nonnegative integer, got {seed}")
     import numpy as np
 
-    exact = run_exact(circuit).probabilities()
-    probs = np.array(list(exact.values()))
+    expected = run_exact(circuit).probabilities()
+    probs = np.array(list(expected.values()))
     probs /= probs.sum()
-    totals = np.zeros(len(exact), dtype=np.int64)
+    totals = np.zeros(len(expected), dtype=np.int64)
     for block in range((shots + _BLOCK - 1) // _BLOCK):
         rng = np.random.default_rng([seed, block])
         totals += rng.multinomial(min(_BLOCK, shots - block * _BLOCK), probs)
-    return ClickRecord({name: int(c) for name, c in zip(exact, totals)})
+    return ClickRecord({name: int(c) for name, c in zip(expected, totals)})
 
 
 # ---------------------------------------------------------------------------
