@@ -254,16 +254,16 @@ def _circuit(args: argparse.Namespace) -> int:
 def _pointer(args: argparse.Namespace) -> int:
     from . import scenarios, weakval
 
-    sid = parse_scenario_id(args.scenario_id)
-    pair = scenarios.build_pair(sid)
-    obs = weakval.observable_from_descriptor(pair.convention, args.descriptor)
-    w = weakval.weak_value(obs, pair)
     configs = [
         weakval.PointerConfig(g=parse_real(tok), sigma_p=args.sigma_p) for tok in args.g.split(",") if tok.strip()
     ]
     couplings = [cfg.g for cfg in configs]
     if len(set(couplings)) < 2:
         raise InputError("--g needs at least two distinct couplings to test convergence")
+    sid = parse_scenario_id(args.scenario_id)
+    pair = scenarios.build_pair(sid)
+    obs = weakval.observable_from_descriptor(pair.convention, args.descriptor)
+    w = weakval.weak_value(obs, pair)
     rows = []
     deviations = []
     for cfg in configs:

@@ -508,6 +508,13 @@ def test_pointer_nonpositive_coupling_exits_two(g_option):
     assert "g must be finite and positive" in result.stderr
 
 
+def test_pointer_reads_couplings_before_the_scenario():
+    """A bad --g is a usage error even when the scenario is degenerate too."""
+    result = run_cli("pointer", "general:theta=0", "id", "--g", "0,1e-2")
+    assert result.exit_code == 2
+    assert "g must be finite and positive" in result.stderr
+
+
 @pytest.mark.parametrize("sigma_p", ["nan", "inf"])
 def test_pointer_non_finite_spread_exits_two(sigma_p):
     result = run_cli("pointer", "two-cat", "path:1:L", "--sigma-p", sigma_p)
