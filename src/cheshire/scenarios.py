@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from . import hilbert
 from .errors import DegenerateScenarioError, InputError
-from .weakval import ARMS, KINDS, PrePostPair
+from .weakval import PrePostPair, report_keys
 
 _BOUNDARY_TOL = 1e-12
 
@@ -132,20 +132,11 @@ def build_pair(scenario: ScenarioId) -> PrePostPair:
     return n_cat(scenario.n)
 
 
-def _photon_pattern(odd: bool) -> dict[tuple[str, str], int]:
-    # odd photons: path localizes left, grin localizes right; even mirrored
-    if odd:
-        return {("path", "L"): 1, ("path", "R"): 0, ("grin", "L"): 0, ("grin", "R"): 1}
-    return {("path", "L"): 0, ("path", "R"): 1, ("grin", "L"): 1, ("grin", "R"): 0}
-
-
 def expected_pattern(scenario: ScenarioId) -> dict[tuple[str, int, str], int]:
-    """The 0/1 delta pattern of weak values, as a pure lookup."""
+    """The 0/1 delta pattern of weak values, as a pure lookup.
+
+    Odd photons localize path on the left arm and grin on the right; even
+    photons are mirrored. Keys are the reports' own (`weakval.report_keys`).
+    """
     n = scenario.n_photons
-    pattern: dict[tuple[str, int, str], int] = {}
-    for photon in range(1, n + 1):
-        per = _photon_pattern(odd=(photon % 2 == 1))
-        for kind in KINDS:
-            for arm in ARMS:
-                pattern[(kind, photon, arm)] = per[(kind, arm)]
-    return pattern
+    return dict(zip(report_keys(n), (1, 0, 0, 1, 0, 1, 1, 0) * ((n + 1) // 2)))

@@ -10,6 +10,13 @@ orthogonality the ratio diverges; below a relative overlap threshold the
 functions here refuse with an anomalous-selection error that carries the raw
 overlap, so callers can opt into amplification studies deliberately.
 
+`weak_value_report` gives the 4n path and grin weak values of an n-photon
+pair, the paper's delta pattern. It reads the Pauli strings of those
+observables (see `hilbert`) off the pre and post amplitudes directly, in one
+pass per photon, without building an operator. Its (kind, photon, arm) keys
+come from one table, `report_keys`, shared by every report and by
+`scenarios.expected_pattern`.
+
 `pointer_shift` realizes the standard von Neumann readout: a Gaussian
 pointer is coupled impulsively through exp(-i g O p_hat), the system is
 post-selected, and the conditional pointer means are returned. As g -> 0,
@@ -106,7 +113,8 @@ class WeakValueReport:
 
     Keys are (kind, photon, arm) with kind in {"path", "grin"}; iteration
     order is photon index, then kind (path before grin), then arm (L, R).
-    The report is data only: `cheshire scenario` renders it.
+    The key tuples themselves are shared (`report_keys`). The report is data
+    only: `cheshire scenario` renders it.
     """
 
     entries: dict[tuple[str, int, str], complex]
@@ -140,18 +148,64 @@ def observable_from_descriptor(convention: hilbert.BasisConvention, text: str) -
     )
 
 
+# (kind, photon, arm) keys in report order, shared by every report and pattern
+_REPORT_KEYS: tuple[tuple[str, int, str], ...] = ()
+
+
+def report_keys(n: int) -> tuple[tuple[str, int, str], ...]:
+    """The 4n report keys of an n-photon pair: photon, then kind, then arm."""
+    global _REPORT_KEYS
+    have = len(_REPORT_KEYS) // 4
+    if n > have:
+        _REPORT_KEYS += tuple(
+            (kind, photon, arm) for photon in range(have + 1, n + 1) for kind in KINDS for arm in ARMS
+        )
+    return _REPORT_KEYS[: 4 * n]
+
+
 def weak_value_report(pair: PrePostPair) -> WeakValueReport:
-    """Evaluate all 4n path and grin weak values of the pair."""
+    """Evaluate all 4n path and grin weak values of the pair.
+
+    The Pauli strings of each photon's four observables are read off the
+    amplitudes directly. With p its path bit and m its polarization bit, the
+    strings that share an x-mask sum to 1+0j on the projected arm for the
+    path projectors, and for the grin observables to +1j where bit m of k is
+    0 and -1j where it is 1 (0 on the other arm), so
+
+        <post|Pi_arm|pre>     = sum over k on the arm of conj(post[k]) pre[k]
+        <post|grin_arm|pre>   = sum over k on the arm of conj(post[k ^ m]) (+-1j) pre[k]
+
+    with the arm read from k & p. Each sum runs in pre's order, as
+    `hilbert.matrix_element` runs it, so every entry equals
+    weak_value(observable_for(...), pair) bit for bit. The keys are shared
+    with every other report and pattern (`report_keys`).
+    """
     ovl = _checked_overlap(pair)
-    convention = pair.convention
-    entries: dict[tuple[str, int, str], complex] = {}
-    for photon in range(1, pair.n_photons + 1):
-        for kind in KINDS:
-            for arm in ARMS:
-                obs = observable_for(convention, kind, photon, arm)
-                numerator = hilbert.matrix_element(pair.post, obs, pair.pre)
-                entries[(kind, photon, arm)] = numerator / ovl
-    return WeakValueReport(entries, ovl)
+    n = pair.n_photons
+    pre, post = pair.pre.amplitudes, pair.post.amplitudes
+    up, down = 1j, complex(0.0, -1.0)
+    # the path strings sum to (1+0j) and read post[k] whatever the photon
+    path_terms = [(k, post[k].conjugate() * ((1 + 0j) * a)) for k, a in pre.items() if k in post]
+    values: list[complex] = []
+    for photon in range(1, n + 1):
+        p = 1 << (2 * n - photon)
+        m = p >> n  # a photon's polarization bit sits n places below its path bit
+        path_l = path_r = grin_l = grin_r = 0j
+        for k, t in path_terms:
+            if k & p:
+                path_r += t
+            else:
+                path_l += t
+        for k, a in pre.items():
+            b = post.get(k ^ m)
+            if b is not None:
+                t = b.conjugate() * ((down if k & m else up) * a)
+                if k & p:
+                    grin_r += t
+                else:
+                    grin_l += t
+        values += (path_l / ovl, path_r / ovl, grin_l / ovl, grin_r / ovl)
+    return WeakValueReport(dict(zip(report_keys(n), values)), ovl)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 Each workload runs for one short stretch (at least 100 operations, or one
 whole round) in its own process, as `bench/run.py` would start it, and its
 outputs are checked against `bench/oracle.py`. The cli workload is left out:
-its 100 interpreter starts take 10-25 s. Synthesis and optics also run once
-with the trace on, which wraps package functions from outside by name.
+its 100 interpreter starts take 10-25 s. Synthesis, optics and patterns also
+run once with the trace on, which wraps package functions from outside by name.
 """
 
 import json
@@ -33,7 +33,7 @@ def test_workload_runs_correctly(workload):
     assert run_workload(workload, trace=0)["attempted"] >= 100
 
 
-@pytest.mark.parametrize("workload", ["synthesis", "optics"])
+@pytest.mark.parametrize("workload", ["synthesis", "optics", "patterns"])
 def test_traced_workload_runs_correctly(workload):
     """The trace wraps package functions by name, so a deleted or renamed one fails here."""
     result = run_workload(workload, trace=1)

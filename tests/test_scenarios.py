@@ -14,6 +14,7 @@ import cheshire as ch
 from cheshire import scenarios
 from cheshire.errors import DegenerateScenarioError, InputError
 from conftest import equal_up_to_phase
+from test_acceptance import pattern_targets
 
 SQ2 = math.sqrt(2)
 
@@ -199,6 +200,13 @@ def test_expected_pattern_parity():
     for photon in (2, 4):
         assert pattern[("path", photon, "R")] == 1
         assert pattern[("grin", photon, "L")] == 1
+
+
+def test_expected_pattern_equals_the_acceptance_targets():
+    for n in range(1, 10):
+        sid = ch.ScenarioId("single") if n == 1 else ch.ScenarioId("n_cat", n=n)
+        targets = pattern_targets(ch.build_pair(sid))
+        assert list(ch.expected_pattern(sid).items()) == list(targets.items()), n
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -329,10 +330,10 @@ def test_pointer_at_twenty_photons():
 # ---------------------------------------------------------------------------
 # reports from matrix elements against reports from applied states
 #
-# weak_value and weak_value_report take <post|O|pre> with
-# hilbert.matrix_element. Before that they built O|pre> and took one inner
-# product with it; that form is the reference, and on the paper's scenarios
-# the two agree bit for bit.
+# weak_value takes <post|O|pre> with hilbert.matrix_element, and
+# weak_value_report reads the same sums off the amplitudes. Before that they
+# built O|pre> and took one inner product with it; that form is the
+# reference, and on the paper's scenarios the forms agree bit for bit.
 
 
 def applied_state_weak_value(obs, pair):
@@ -382,6 +383,84 @@ def test_weak_value_matches_applied_state_on_random_pairs():
             for op in (obs, ch.op_add(obs, sigma), ch.op_compose(obs, sigma), ch.op_scale(0.3 - 0.7j, obs)):
                 want = applied_state_weak_value(op, pair)
                 assert ch.weak_value(op, pair) == pytest.approx(want, rel=1e-12, abs=1e-12), (seed, op.terms)
+
+
+# ---------------------------------------------------------------------------
+# the report against one weak value per named observable, bit for bit
+#
+# weak_value_report reads the path and grin Pauli strings off the amplitudes
+# without building operators; weak_value(observable_for(...)) builds each one
+# and takes its matrix element. Both must give the same doubles, signed zeros
+# included.
+
+
+def bits(value):
+    return struct.pack("dd", value.real, value.imag)
+
+
+def signed_zero_sparse_pair(seed, n):
+    """Random sparse pair whose amplitude parts are often +-0.0 or +-1; post meets pre and its polarization flips."""
+    rng = np.random.default_rng(seed)
+    conv = ch.BasisConvention(n)
+
+    def part():
+        return (0.0, -0.0, 1.0, -1.0, float(rng.standard_normal()))[int(rng.integers(5))]
+
+    def amplitudes(keys):
+        out = {}
+        for k in keys:
+            a = 0j
+            while a == 0:
+                a = complex(part(), part())
+            out[k] = a
+        return out
+
+    while True:
+        size = int(rng.integers(1, min(conv.dim, 4) + 1))
+        pre_keys = [int(k) for k in rng.choice(conv.dim, size=size, replace=False)]
+        flips = [k ^ (1 << int(rng.integers(n))) for k in pre_keys]  # polarization bits are the low n
+        post_keys = dict.fromkeys(pre_keys[:2] + flips[1:] + [int(rng.integers(conv.dim))])
+        pair = ch.pair_from_states(ch.make_ket(conv, amplitudes(pre_keys)), ch.make_ket(conv, amplitudes(post_keys)))
+        if abs(pair.overlap()) > 1e-3:
+            return pair
+
+
+BITWISE_PAIRS = {
+    "single": lambda: [ch.single()],
+    "n_cat": lambda: [ch.n_cat(n) for n in (*range(2, 65), 200, 512)],
+    "general_two_cat": lambda: [
+        ch.general_two_cat(theta, phi)
+        for theta in (0.01, 0.3, math.pi / 4, 1.2, math.pi / 2 - 0.01)
+        for phi in (0.0, 0.4, math.pi / 2, 3.0, math.pi, 4.4, 6.2)
+    ],
+    "random": lambda: [signed_zero_sparse_pair(500 + seed, 1 + seed % 6) for seed in range(120)],
+}
+
+
+@pytest.mark.parametrize("family", BITWISE_PAIRS)
+def test_report_equals_single_weak_values_bitwise(family):
+    for pair in BITWISE_PAIRS[family]():
+        n, conv = pair.n_photons, pair.convention
+        report = ch.weak_value_report(pair)
+        order = [(kind, photon, arm) for photon in range(1, n + 1) for kind in ("path", "grin") for arm in "LR"]
+        assert list(report.entries) == order
+        assert bits(report.overlap) == bits(pair.overlap())
+        for key, value in report.entries.items():
+            want = ch.weak_value(ch.observable_for(conv, *key), pair)
+            assert bits(value) == bits(want), (family, n, key, value, want)
+
+
+def test_reports_and_patterns_share_one_key_table():
+    n = 7
+    report = ch.weak_value_report(ch.n_cat(n))
+    pattern = ch.expected_pattern(ch.ScenarioId("n_cat", n=n))
+    assert len(report.entries) == len(pattern) == 4 * n
+    assert all(a is b for a, b in zip(report.entries, pattern))
+    ch.weak_value_report(ch.n_cat(40))
+    small = ch.weak_value_report(ch.n_cat(3))
+    assert list(small.entries) == [
+        (kind, photon, arm) for photon in (1, 2, 3) for kind in ("path", "grin") for arm in "LR"
+    ]
 
 
 # ---------------------------------------------------------------------------
