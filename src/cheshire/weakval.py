@@ -184,7 +184,7 @@ def weak_value_report(pair: PrePostPair) -> WeakValueReport:
     n = pair.n_photons
     pre, post = pair.pre.amplitudes, pair.post.amplitudes
     up, down = 1j, complex(0.0, -1.0)
-    # the path strings sum to (1+0j) and read post[k] whatever the photon
+    # a path term reads post[k] whatever the photon, so it is computed once
     path_terms = [(k, post[k].conjugate() * ((1 + 0j) * a)) for k, a in pre.items() if k in post]
     values: list[complex] = []
     for photon in range(1, n + 1):
