@@ -19,7 +19,7 @@ subcommand's JSON holds the scalars beside a `rows` list.
 Exit codes, stable for scripting:
     0  success / report matches
     1  computed result does not match the expected pattern or tolerance
-    2  usage errors, malformed input files (with line numbers)
+    2  usage errors, malformed input files (with line numbers), out of memory
     3  degenerate or infeasible configurations (boundary scenario
        parameters, unsatisfiable targets, vanishing overlap)
     4  missing or unreadable files
@@ -118,16 +118,19 @@ _EXIT_CODES = (
     (_DEGENERATE_ERRORS, EXIT_DEGENERATE),
     (CheshireError, EXIT_USAGE),
     (OSError, EXIT_IO),
+    (MemoryError, EXIT_USAGE),
 )
 
 
 def _execute(action: Callable[[], int]) -> NoReturn:
     try:
         code = action()
-    except (CheshireError, OSError) as exc:
+    except (CheshireError, OSError, MemoryError) as exc:
         message = f"error: {exc}"
         if isinstance(exc, AnomalousSelectionError):
             message += f" (raw overlap {exc.overlap!r})"
+        elif isinstance(exc, MemoryError):  # usually raised without a message
+            message = "error: out of memory" + (f": {exc}" if str(exc) else "")
         sys.stderr.write(message + "\n")
         raise SystemExit(next(c for kinds, c in _EXIT_CODES if isinstance(exc, kinds))) from None
     raise SystemExit(code)

@@ -190,13 +190,18 @@ def make_ket(convention: BasisConvention, amplitudes: dict[int, complex]) -> Ket
     for k in amps:
         if not 0 <= k < dim:
             raise InputError(f"basis index {k} out of range for dim {dim}")
+    _refuse_overflow(amps)
+    return Ket(convention, amps)
+
+
+def _refuse_overflow(amplitudes: dict[int, complex]) -> dict[int, complex]:
     try:
-        total = sum(abs(a) ** 2 for a in amps.values())
+        total = sum(abs(a) ** 2 for a in amplitudes.values())
     except OverflowError:
         total = math.inf
     if total == math.inf:
         raise InputError("amplitudes too large: the squared norm overflows")
-    return Ket(convention, amps)
+    return amplitudes
 
 
 def ket_from_dense(convention: BasisConvention, vec: np.ndarray) -> Ket:
@@ -263,14 +268,16 @@ class Operator:
     def hermitian_defect(self) -> float:
         """Bound on the entries of O - O^dagger: max over x of sum_z |d(x, z)|.
 
-        (c X^x Z^z)^dagger = conj(c) (-1)^popcount(x & z) X^x Z^z, so O - O^dagger
-        has coefficients d = c - (-1)^popcount(x & z) conj(c), zero exactly when O
-        is Hermitian. Entry (j, k) of O - O^dagger is sum_z d(x, z) (-1)^popcount(k & z)
-        with x = j ^ k, so the row sum bounds it, and every single |d| too.
+        (c X^x Z^z)^dagger = (-1)^popcount(x & z) conj(c) X^x Z^z, so O - O^dagger has
+        coefficients d = c - conj(c) where popcount(x & z) is even and c + conj(c) where
+        it is odd, zero exactly when O is Hermitian. Entry (j, k) of O - O^dagger is
+        sum_z d(x, z) (-1)^popcount(k & z) with x = j ^ k, so the row sum bounds it, and
+        every single |d| too.
         """
         rows: dict[int, float] = {}
         for x, z, c in self.terms:
-            rows[x] = rows.get(x, 0.0) + abs(c - (-1) ** (x & z).bit_count() * c.conjugate())
+            d = c + c.conjugate() if (x & z).bit_count() & 1 else c - c.conjugate()
+            rows[x] = rows.get(x, 0.0) + abs(d)
         return max(rows.values(), default=0.0)
 
     def to_dense(self) -> np.ndarray:
@@ -292,13 +299,18 @@ def apply(op: Operator, state: Ket) -> Ket:
     """Matrix-vector product O|state>, sparsity preserving."""
     if op.convention != state.convention:
         raise InputError("operator and state use mixed conventions")
+    return make_ket(state.convention, _apply_amplitudes(op, state.amplitudes))
+
+
+def _apply_amplitudes(op: Operator, amplitudes: dict[int, complex]) -> dict[int, complex]:
+    """The amplitudes of O|state>, unpruned: `apply` without building a Ket."""
     out: dict[int, complex] = {}
     # Consecutive strings with the same x-mask (as in every named observable)
     # land on one row: sum their signed coefficients, then write once. The
     # zero-mask guards skip big-int work at large n.
     terms = op.terms
     first = terms[0][0] if terms else 0
-    for k, a in state.amplitudes.items():
+    for k, a in amplitudes.items():
         row, v = first, 0j
         for x, z, c in terms:
             if x != row:
@@ -310,7 +322,7 @@ def apply(op: Operator, state: Ket) -> Ket:
         if v:
             j = k ^ row if row else k
             out[j] = out.get(j, 0j) + v * a
-    return make_ket(state.convention, out)
+    return out
 
 
 def matrix_element(bra: Ket, op: Operator, ket: Ket) -> complex:

@@ -96,9 +96,10 @@ def n_cat(n: int) -> PrePostPair:
     )
     _, main, extras = post_state_indices(n)
     coeff = 1 / math.sqrt(n + 1)
-    amps = {index_a: -1j * coeff, main: coeff + 0j}
+    term = coeff + 0j  # one object for the n equal terms
+    amps = {index_a: -1j * coeff, main: term}
     for e in extras:
-        amps[e] = coeff + 0j
+        amps[e] = term
     post = hilbert.make_ket(conv, amps)
     return PrePostPair(pre, post, n)
 

@@ -12,7 +12,9 @@ of the pre-state or of some (O_t - w_t)|pre>. Any other basis state appears
 in no constraint and is orthogonal to the pre-state, so a post amplitude
 there can never make a solution feasible; it stays zero. The system
 therefore has one column per active basis state, never 4^n of them, and
-solves at any photon count.
+solves at any photon count. Each row is read straight off the target's Pauli
+strings into a plain dict, with the prunes, summation order and overflow
+refusal of superposing the Kets O|pre> and -w|pre>, but without building them.
 
 The solve is exact linear algebra: a rank-revealing pass (SVD cutoff 1e-10
 relative to the largest singular value) fixes the numerical rank, and a
@@ -28,6 +30,9 @@ columns.
 The returned ket is unnormalized; its phase is fixed so the amplitude paired
 with the pre-state's first support term is purely negative-imaginary when
 possible, and its largest amplitude magnitude is scaled to 1.
+
+`verify` checks and takes the overlap <post|pre> once and divides each
+target's <post|O|pre> by it, the arithmetic of `weakval.weak_value`.
 """
 
 from __future__ import annotations
@@ -89,18 +94,23 @@ def assemble(pre: Ket, targets: Sequence[WeakValueTarget]) -> ConstraintSystem:
         raise InputError("assemble needs at least one target")
     if pre.norm() == 0.0:
         raise InputError("pre-state is the zero vector")
+    amps = pre.amplitudes
     rows = []
     for tgt in targets:
         if tgt.observable.convention != pre.convention:
             raise InputError("target observable and pre-state use mixed conventions")
-        rows.append(hilbert.superpose(
-            [(1.0, hilbert.apply(tgt.observable, pre)), (-tgt.target, pre)]
-        ))
-    columns = tuple(sorted(set(pre.amplitudes).union(*(row.amplitudes for row in rows))))
+        # superpose([(1.0, apply(O, pre)), (-w, pre)]) without building its Kets
+        applied = hilbert._apply_amplitudes(tgt.observable, amps).items()
+        row = {k: 0j + 1.0 * a for k, a in applied if abs(a) >= hilbert.PRUNE_THRESHOLD}
+        shift = -tgt.target
+        for k, b in amps.items():
+            row[k] = row.get(k, 0j) + shift * b
+        rows.append(hilbert._refuse_overflow(hilbert._prune(row)))
+    columns = tuple(sorted(set(amps).union(*rows)))
     position = {k: j for j, k in enumerate(columns)}
     matrix = np.zeros((len(rows), len(columns)), dtype=complex)
     for t, row in enumerate(rows):
-        for k, a in row.amplitudes.items():
+        for k, a in row.items():
             matrix[t, position[k]] = a
     return ConstraintSystem(matrix, columns, pre)
 
@@ -110,10 +120,12 @@ def _row_echelon(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Pivot columns are taken left to right; a column pivots if its largest
     remaining entry exceeds the SVD-derived cutoff. Pivot row p is 1 at pivot
-    column p and 0 at every other pivot column.
+    column p and 0 at every other pivot column. The pivot row is swapped into
+    place as it is scaled, and the other rows holding an entry in its column
+    are cleared in one update.
     """
     rows, cols = matrix.shape
-    work = matrix.astype(complex).copy()
+    work = matrix.astype(complex)
     sigma_max = float(np.linalg.svd(work, compute_uv=False)[0]) if work.size and np.any(work) else 0.0
     cutoff = _RANK_CUTOFF_REL * sigma_max
     pivot_cols: list[int] = []
@@ -122,15 +134,17 @@ def _row_echelon(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if r >= rows:
             break
         sub = np.abs(work[r:, c])
-        best = int(np.argmax(sub))
+        best = int(sub.argmax())
         if sub[best] <= cutoff:
             continue
-        if best != 0:
-            work[[r, r + best]] = work[[r + best, r]]
-        work[r] = work[r] / work[r, c]
-        for rr in range(rows):
-            if rr != r and work[rr, c] != 0:
-                work[rr] = work[rr] - work[rr, c] * work[r]
+        best += r
+        pivot = work[best] / work[best, c]
+        work[best] = work[r]
+        work[r] = pivot
+        nz = work[:, c].nonzero()[0]
+        if len(nz) > 1:
+            nz = nz[nz != r]
+            work[nz] = work[nz] - work[nz, c][:, None] * pivot
         pivot_cols.append(c)
         r += 1
     return work[:r], np.array(pivot_cols, dtype=int)
@@ -175,15 +189,16 @@ def solve_post(system: ConstraintSystem) -> Ket:
             m = m * (-1j * abs(m[j]) / m[j])
             break
     m = m / float(np.max(np.abs(m)))
-    return hilbert.make_ket(system.pre.convention, dict(zip(system.columns, m)))
+    return hilbert.make_ket(system.pre.convention, dict(zip(system.columns, m.tolist())))
 
 
 def verify(pre: Ket, post: Ket, targets: Sequence[WeakValueTarget]) -> float:
     """Max over targets of |weak_value(O) - w| for the (pre, post) pair."""
     pair = weakval.PrePostPair(pre, post, pre.convention.n_photons)
     residual = 0.0
+    ovl = weakval._checked_overlap(pair) if targets else None
     for tgt in targets:
-        value = weakval.weak_value(tgt.observable, pair)
+        value = hilbert.matrix_element(post, tgt.observable, pre) / ovl
         residual = max(residual, abs(value - tgt.target))
     return residual
 

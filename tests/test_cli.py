@@ -693,6 +693,8 @@ EXIT_CASES = [
     (ch.CircuitConfigError("collision"), 2, "error: collision\n"),
     (ch.CheshireError("other"), 2, "error: other\n"),
     (OSError("unreadable"), 4, "error: unreadable\n"),
+    (MemoryError(), 2, "error: out of memory\n"),
+    (MemoryError("Unable to allocate 8.00 GiB"), 2, "error: out of memory: Unable to allocate 8.00 GiB\n"),
 ]
 
 
@@ -707,3 +709,18 @@ def test_execute_maps_errors_to_exit_codes(error, code, stderr, capsys):
         _execute(action)
     assert stop.value.code == code
     assert capsys.readouterr().err == stderr
+
+
+def test_scenario_too_large_for_memory_exits_two(monkeypatch):
+    """A MemoryError is an input too large, not a mismatch: exit 2 and one line, no traceback.
+    The scenario build is replaced by one that raises, so nothing large is allocated."""
+    from cheshire import scenarios
+
+    def build_pair(sid):
+        assert sid.n == 100000
+        raise MemoryError
+
+    monkeypatch.setattr(scenarios, "build_pair", build_pair)
+    result = run_cli("scenario", "n-cat:n=100000")
+    assert (result.exit_code, result.output) == (2, "")
+    assert result.stderr == "error: out of memory\n"

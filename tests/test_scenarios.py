@@ -120,6 +120,12 @@ def test_five_cat_pair_amplitudes():
     )
 
 
+def test_n_cat_post_terms_share_one_amplitude():
+    """The n equal post amplitudes are one complex object, not n equal copies."""
+    amps = list(ch.n_cat(40).post.amplitudes.values())
+    assert len(amps) == 41 and all(a is amps[1] for a in amps[2:])
+
+
 def test_three_cat_labels():
     """The n=3 pair in letter labels: pre |LRL>|HHH> + |RLR>|HHH>."""
     pair = ch.n_cat(3)

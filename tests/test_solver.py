@@ -9,6 +9,7 @@ are first measured from a known pair and then fed back in.
 """
 
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -357,7 +358,8 @@ def test_parse_problem_file_missing(tmp_path):
 # back through a dense vector
 
 
-def dense_nullspace_basis(matrix):
+def reference_row_echelon(matrix):
+    """Reduced row echelon form, clearing each pivot column one row at a time."""
     rows, cols = matrix.shape
     work = matrix.astype(complex).copy()
     sigma_max = float(np.linalg.svd(work, compute_uv=False)[0]) if work.size and np.any(work) else 0.0
@@ -377,17 +379,20 @@ def dense_nullspace_basis(matrix):
         for rr in range(rows):
             if rr != r and work[rr, c] != 0:
                 work[rr] = work[rr] - work[rr, c] * work[r]
-        pivots.append((r, c))
+        pivots.append(c)
         r += 1
-    pivot_cols = {c for _, c in pivots}
+    return work[:r], np.array(pivots, dtype=int)
+
+
+def dense_nullspace_basis(matrix):
+    echelon, pivots = reference_row_echelon(matrix)
     basis = []
-    for f in range(cols):
-        if f in pivot_cols:
+    for f in range(matrix.shape[1]):
+        if f in pivots:
             continue
-        vec = np.zeros(cols, dtype=complex)
+        vec = np.zeros(matrix.shape[1], dtype=complex)
         vec[f] = 1.0
-        for pr, pc in pivots:
-            vec[pc] = -work[pr, f]
+        vec[pivots] = -echelon[:, f]
         basis.append(vec)
     return basis
 
@@ -552,3 +557,184 @@ def test_dense_pre_state_solve_memory():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the Ket-based pipeline as a reference: each row a superposed Ket of O|pre>
+# and -w|pre>, one weak_value per target in verify, the pivot column cleared
+# one row at a time, and the Hermitian check by powers of -1. The solver's
+# rows, echelon, post and residual must be the same doubles, signed zeros
+# included, and its errors the same type and text.
+
+
+def bits(value):
+    return struct.pack("dd", value.real, value.imag)
+
+
+def reference_assemble(pre, targets):
+    rows = [ch.superpose([(1.0, ch.apply(t.observable, pre)), (-t.target, pre)]) for t in targets]
+    columns = tuple(sorted(set(pre.amplitudes).union(*(row.amplitudes for row in rows))))
+    position = {k: j for j, k in enumerate(columns)}
+    matrix = np.zeros((len(rows), len(columns)), dtype=complex)
+    for t, row in enumerate(rows):
+        for k, a in row.amplitudes.items():
+            matrix[t, position[k]] = a
+    return solver.ConstraintSystem(matrix, columns, pre)
+
+
+def reference_verify(pre, post, targets):
+    pair = ch.PrePostPair(pre, post, pre.convention.n_photons)
+    residual = 0.0
+    for tgt in targets:
+        residual = max(residual, abs(ch.weak_value(tgt.observable, pair) - tgt.target))
+    return residual
+
+
+def reference_hermitian_defect(op):
+    rows = {}
+    for x, z, c in op.terms:
+        rows[x] = rows.get(x, 0.0) + abs(c - (-1) ** (x & z).bit_count() * c.conjugate())
+    return max(rows.values(), default=0.0)
+
+
+def synthesis_record(pre, targets, assemble, verify):
+    """Bytes of the columns, matrix, echelon, post and residual, up to the first error."""
+    record = []
+    try:
+        system = assemble(pre, targets)
+        record += [system.columns, system.matrix.shape, [bits(a) for a in system.matrix.ravel()]]
+        echelon, pivots = solver._row_echelon(system.matrix)
+        record += [echelon.shape, pivots.tolist(), [bits(a) for a in echelon.ravel()]]
+        post = ch.solve_post(system)
+        record.append([(k, bits(a)) for k, a in post.amplitudes.items()])
+        record.append(struct.pack("d", verify(pre, post, targets)))
+    except CheshireError as exc:
+        record.append((type(exc), str(exc)))
+    return record
+
+
+def signed_zero_part(rng):
+    return (0.0, -0.0, 1.0, -1.0, float(rng.standard_normal()))[int(rng.integers(5))]
+
+
+def signed_zero_problem(seed, n):
+    """Sparse pre-state and mixed targets whose amplitude and target parts are often +-0.0 or +-1.
+
+    Observables are named ones, sums and products of two (so x-masks alternate
+    within one operator), and complex multiples; targets are weak values
+    measured from a pair or drawn like the amplitudes.
+    """
+    rng = np.random.default_rng(seed)
+    conv = ch.BasisConvention(n)
+
+    def sparse_ket():
+        size = int(rng.integers(1, min(conv.dim, 5) + 1))
+        amps = {}
+        for k in rng.choice(conv.dim, size=size, replace=False):
+            a = 0j
+            while a == 0:
+                a = complex(signed_zero_part(rng), signed_zero_part(rng))
+            amps[int(k)] = a
+        return ch.make_ket(conv, amps)
+
+    def named():
+        photon = int(rng.integers(1, n + 1))
+        kind = ("path", "grin", "sigma", "id")[int(rng.integers(4))]
+        if kind == "sigma":
+            return ch.circular_sigma_z(conv, photon)
+        if kind == "id":
+            return ch.identity_op(conv)
+        return ch.observable_for(conv, kind, photon, "LR"[int(rng.integers(2))])
+
+    def observable():
+        shape = int(rng.integers(4))
+        if shape == 1:
+            return ch.op_add(named(), named())
+        if shape == 2:
+            a, b = named(), named()
+            return ch.op_add(ch.op_compose(a, b), ch.op_compose(b, a))
+        if shape == 3:
+            return ch.op_scale(signed_zero_part(rng) or 1.0, named())
+        return named()
+
+    pre, post = sparse_ket(), sparse_ket()
+    observables = [observable() for _ in range(int(rng.integers(1, 2 * n + 2)))]
+    pair = ch.pair_from_states(pre, post)
+    measured = rng.random() < 0.5 and abs(pair.overlap()) > 1e-3
+    values = [
+        ch.weak_value(obs, pair) if measured else complex(signed_zero_part(rng), signed_zero_part(rng))
+        for obs in observables
+    ]
+    return pre, [ch.WeakValueTarget(obs, w) for obs, w in zip(observables, values)]
+
+
+BITWISE_PROBLEMS = {
+    "delta": lambda: [delta_case(n) for n in (*range(2, 13), 40)],
+    "general_two_cat": lambda: [
+        (ch.general_two_cat(theta, phi).pre, delta_targets(C2))
+        for theta in (0.01, 0.3, math.pi / 4, 1.2, math.pi / 2 - 0.01)
+        for phi in (0.0, 0.4, math.pi / 2, 3.0, math.pi, 4.4, 6.2)
+    ],
+    "random": lambda: [signed_zero_problem(700 + seed, 1 + seed % 6) for seed in range(120)],
+    "dense-pre": lambda: [
+        dense_pre_case(seed, n, kind) for n in (3, 4, 5) for kind in ("delta", "random") for seed in range(2)
+    ],
+}
+
+
+@pytest.mark.parametrize("family", BITWISE_PROBLEMS)
+def test_synthesis_equals_ket_based_reference_bitwise(family, monkeypatch):
+    outcomes = set()
+    for pre, targets in BITWISE_PROBLEMS[family]():
+        got = synthesis_record(pre, targets, ch.assemble, ch.verify)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_row_echelon", reference_row_echelon)
+            want = synthesis_record(pre, targets, reference_assemble, reference_verify)
+        assert got == want, (family, pre.convention.n_photons)
+        outcomes.add(len(got))
+    assert 8 in outcomes  # some problems reach the residual
+
+
+def operators_for_defect():
+    ops = []
+    for n in (1, 2, 3, 40):
+        conv = ch.BasisConvention(n)
+        named = [ch.identity_op(conv)] + [
+            obs
+            for photon in {1, n}
+            for obs in [ch.circular_sigma_z(conv, photon)]
+            + [build(conv, photon, arm) for build in (ch.path_projector, ch.grin_observable) for arm in "LR"]
+        ]
+        ops += named
+        ops += [ch.op_compose(a, b) for a in named for b in named]
+        ops += [ch.op_scale(s, ch.op_add(a, b)) for a, b in zip(named, named[1:]) for s in (1j, -0.5, 2 - 3j)]
+    rng = np.random.default_rng(41)
+    for n in (1, 2):
+        dim = 4**n
+        for _ in range(6):
+            raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            for matrix in (raw, (raw + raw.conj().T) / 2, (raw - raw.conj().T) / 2):
+                ops.append(ch.operator_from_dense(ch.BasisConvention(n), matrix))
+    return ops
+
+
+def test_hermitian_defect_equals_power_form_bitwise():
+    ops = operators_for_defect()
+    defects = [op.hermitian_defect() for op in ops]
+    assert [struct.pack("d", d) for d in defects] == [
+        struct.pack("d", reference_hermitian_defect(op)) for op in ops
+    ]
+    assert 0.0 in defects and max(defects) > 1.0
+
+
+def test_verify_without_targets_is_zero():
+    pair = ch.two_cat()
+    assert ch.verify(pair.pre, pair.post, []) == 0.0
+    orthogonal = ch.make_ket(C2, {0: 1.0})
+    assert ch.verify(pair.pre, orthogonal, []) == 0.0
+
+
+def test_target_whose_row_overflows_is_refused():
+    pre = ch.make_ket(C1, {0: 1.0})
+    with pytest.raises(InputError, match="squared norm overflows"):
+        ch.assemble(pre, [ch.WeakValueTarget(ch.path_projector(C1, 1, "L"), 1e200)])
