@@ -613,8 +613,10 @@ def synthesis_record(pre, targets, assemble, verify):
     return record
 
 
-def signed_zero_part(rng):
-    return (0.0, -0.0, 1.0, -1.0, float(rng.standard_normal()))[int(rng.integers(5))]
+def signed_zero_part(rng, near_one=False):
+    """+-0.0, +-1 or a normal draw; with near_one also 1 - 2**-52, so that rows cancel to below the prune threshold."""
+    parts = (0.0, -0.0, 1.0, -1.0, float(rng.standard_normal()), 1.0 - 2.0**-52)
+    return parts[int(rng.integers(6 if near_one else 5))]
 
 
 def signed_zero_problem(seed, n):
@@ -622,7 +624,7 @@ def signed_zero_problem(seed, n):
 
     Observables are named ones, sums and products of two (so x-masks alternate
     within one operator), and complex multiples; targets are weak values
-    measured from a pair or drawn like the amplitudes.
+    measured from a pair or drawn like the amplitudes, or as 1 - 2**-52.
     """
     rng = np.random.default_rng(seed)
     conv = ch.BasisConvention(n)
@@ -662,7 +664,7 @@ def signed_zero_problem(seed, n):
     pair = ch.pair_from_states(pre, post)
     measured = rng.random() < 0.5 and abs(pair.overlap()) > 1e-3
     values = [
-        ch.weak_value(obs, pair) if measured else complex(signed_zero_part(rng), signed_zero_part(rng))
+        ch.weak_value(obs, pair) if measured else complex(signed_zero_part(rng, True), signed_zero_part(rng, True))
         for obs in observables
     ]
     return pre, [ch.WeakValueTarget(obs, w) for obs, w in zip(observables, values)]
