@@ -151,8 +151,14 @@ class BasisConvention:
         return path + pol
 
 
+_TOO_LARGE = "amplitudes too large: the squared norm overflows"
+
+
 def _prune(amplitudes: dict[int, complex]) -> dict[int, complex]:
-    return {k: complex(v) for k, v in amplitudes.items() if abs(v) >= PRUNE_THRESHOLD}
+    try:
+        return {k: complex(v) for k, v in amplitudes.items() if abs(v) >= PRUNE_THRESHOLD}
+    except OverflowError:  # abs() of a finite complex whose modulus exceeds a double
+        raise InputError(_TOO_LARGE) from None
 
 
 @dataclass(frozen=True)
@@ -200,7 +206,7 @@ def _refuse_overflow(amplitudes: dict[int, complex]) -> dict[int, complex]:
     except OverflowError:
         total = math.inf
     if total == math.inf:
-        raise InputError("amplitudes too large: the squared norm overflows")
+        raise InputError(_TOO_LARGE)
     return amplitudes
 
 

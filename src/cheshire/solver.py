@@ -101,7 +101,7 @@ def assemble(pre: Ket, targets: Sequence[WeakValueTarget]) -> ConstraintSystem:
             raise InputError("target observable and pre-state use mixed conventions")
         # superpose([(1.0, apply(O, pre)), (-w, pre)]) without building its Kets
         applied = hilbert._apply_amplitudes(tgt.observable, amps).items()
-        row = {k: 0j + 1.0 * a for k, a in applied if abs(a) >= hilbert.PRUNE_THRESHOLD}
+        row = hilbert._prune({k: 0j + 1.0 * a for k, a in applied})
         shift = -tgt.target
         for k, b in amps.items():
             row[k] = row.get(k, 0j) + shift * b

@@ -108,15 +108,24 @@ def test_scenario_degenerate_angle_exits_three():
     assert "error:" in result.stderr
 
 
-@pytest.mark.parametrize(
-    "sid",
-    [
-        "bogus", "general:theta=pi/4,phi=0,theta=1", "general:phi=0", "n-cat:n=x",
-        "n-cat:n=\u0661\u0662", "n-cat:n=+3", "n-cat:n=0_3", "n-cat:n= 3x",
-    ],
-)
-def test_scenario_bad_ids_exit_two(sid):
-    assert run_cli("scenario", sid).exit_code == 2
+BAD_SCENARIO_IDS = {
+    "bogus": "unknown scenario id 'bogus'",
+    "general:theta=pi/4,phi=0,theta=1": "duplicate key 'theta'",
+    "general:phi=0": "general scenario needs theta=...",
+    "n-cat:n=x": "n must be a whole number in ASCII digits, got 'x'",
+    "n-cat:n=\u0661\u0662": "n must be a whole number in ASCII digits, got '\u0661\u0662'",
+    "n-cat:n=+3": "n must be a whole number in ASCII digits, got '+3'",
+    "n-cat:n=0_3": "n must be a whole number in ASCII digits, got '0_3'",
+    "n-cat:n= 3x": "n must be a whole number in ASCII digits, got '3x'",
+    "n-cat:": "n-cat scenario needs n=...",
+}
+
+
+@pytest.mark.parametrize("sid,message", BAD_SCENARIO_IDS.items(), ids=list(BAD_SCENARIO_IDS))
+def test_scenario_bad_ids_exit_two(sid, message):
+    result = run_cli("scenario", sid)
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"error: {message}")
 
 
 def test_parse_scenario_id_defaults():
@@ -220,14 +229,23 @@ def test_solve_vacuous_targets_exit_three(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text,line", [("photons 2\npre 0100 oops 0\n", 2), ("photons ²\n", 1)], ids=["bad-amplitude", "superscript-photons"]
+    "text,line,message",
+    [
+        ("photons 2\npre 0100 oops 0\n", 2, "cannot evaluate 'oops' in expression 'oops'"),
+        ("photons ²\n", 1, "photons must be a whole number in ASCII digits, got '²'"),
+        ("photons 1\npre 00 1 0\ntarget path:1:L 1\n", 3, "target rows are: target DESCRIPTOR RE IM"),
+        ("target path:1:L 1 0\ntarget path:1:R 0 0\n", 1, "missing photons line"),
+        # abs() of the amplitude itself overflows, before its square is summed
+        ("photons 1\npre 00 1.7e308 1.7e308\ntarget path:1:L 1 0\n", 2, "amplitudes too large: the squared norm overflows"),
+    ],
+    ids=["bad-amplitude", "superscript-photons", "three-word-target", "targets-without-photons", "amplitude-modulus-overflow"],
 )
-def test_solve_malformed_file_exits_two(tmp_path, text, line):
+def test_solve_malformed_file_exits_two(tmp_path, text, line, message):
     path = tmp_path / "broken.problem"
     path.write_text(text, encoding="utf-8")
     result = run_cli("solve", str(path))
     assert result.exit_code == 2
-    assert f"line {line}" in result.stderr
+    assert result.stderr == f"error: line {line}: {message}\n"
 
 
 def test_solve_overflowing_expression_exits_two(tmp_path):
@@ -361,14 +379,20 @@ def test_circuit_unknown_pattern_exits_two():
 
 
 @pytest.mark.parametrize(
-    "text,line", [("photons 2\nsource laser\n", 2), ("photons ²\n", 1)], ids=["bad-source", "superscript-photons"]
+    "text,line,message",
+    [
+        ("photons 2\nsource laser\n", 2, "source kind must be spdc or ket, got 'laser'"),
+        ("photons ²\n", 1, "photons must be a whole number in ASCII digits, got '²'"),
+        ("# a comment and nothing else\n", 1, "missing photons line"),
+    ],
+    ids=["bad-source", "superscript-photons", "no-directive"],
 )
-def test_circuit_malformed_file_exits_two(tmp_path, text, line):
+def test_circuit_malformed_file_exits_two(tmp_path, text, line, message):
     path = tmp_path / "bad.circuit"
     path.write_text(text, encoding="utf-8")
     result = run_cli("circuit", str(path))
     assert result.exit_code == 2
-    assert f"line {line}" in result.stderr
+    assert result.stderr == f"error: line {line}: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -387,10 +411,17 @@ def test_circuit_malformed_file_exits_two(tmp_path, text, line):
         ("element hwp photon=1 arm=", "empty value for 'arm'"),
         ("detector D9 photon=1 mode= pol=H", "empty value for 'mode'"),
         ("element bs name= in_a=x1,x2 in_b=y1,y2 t=1 r=0", "empty value for 'name'"),
+        ("source spdc modes=L,L", "duplicate source line"),
+        ("postselection", "duplicate postselection marker"),
+        ("detector", "detector needs a label"),
+        ("postselect-on D1 D2", "postselect-on needs one detector label"),
+        ("beamsplitter BS4", "unknown directive 'beamsplitter'"),
     ],
     ids=["detector-photon-7", "detector-photon-0", "second-postselect-on", "detector-label-plus",
          "element-photon-0", "pbs-same-ports", "plate-flag", "bs-misspelt-flag", "pbs-unknown-key",
-         "bs-duplicate-name", "plate-empty-arm", "detector-empty-mode", "bs-empty-name"],
+         "bs-duplicate-name", "plate-empty-arm", "detector-empty-mode", "bs-empty-name",
+         "second-source", "second-postselection-marker", "detector-no-label", "postselect-on-two-labels",
+         "unknown-directive"],
 )
 def test_circuit_bad_extra_line_exits_two(tmp_path, extra, message):
     lines = Path(optics.builtin_circuit_path()).read_text(encoding="utf-8").splitlines()
@@ -597,13 +628,17 @@ def test_repeated_runs_are_byte_identical():
 # ---------------------------------------------------------------------------
 # no input path ends in a traceback
 
-BAD_EXPRESSIONS = {"malformed": "1+*2", "too-deep": "-" * 2000 + "1"}
+BAD_EXPRESSIONS = {
+    "malformed": ("1+*2", "is malformed or nests too deeply"),
+    "too-deep": ("-" * 2000 + "1", "nests too deeply"),
+    "not-finite": ("1e200*1e200", "expression '1e200*1e200' is not finite"),
+}
 GUARD_ENTRY_POINTS = ["general-angle", "problem-amplitude", "circuit-t", "pointer-g"]
 
 
-@pytest.mark.parametrize("expression", BAD_EXPRESSIONS.values(), ids=BAD_EXPRESSIONS.keys())
+@pytest.mark.parametrize("expression,message", BAD_EXPRESSIONS.values(), ids=BAD_EXPRESSIONS.keys())
 @pytest.mark.parametrize("entry", GUARD_ENTRY_POINTS)
-def test_bad_expression_exits_two_without_traceback(entry, expression, tmp_path):
+def test_bad_expression_exits_two_without_traceback(entry, expression, message, tmp_path):
     if entry == "general-angle":
         args = ("scenario", f"general:theta={expression}")
     elif entry == "problem-amplitude":
@@ -621,6 +656,7 @@ def test_bad_expression_exits_two_without_traceback(entry, expression, tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert b"Traceback" not in proc.stderr
     assert proc.stderr.startswith(b"error: ")
+    assert message.encode() in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,10 @@ def test_demos_found():
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(script):
-    # conftest puts src on PYTHONPATH for child interpreters
-    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=120)
+    # conftest puts src on PYTHONPATH for child interpreters; -W error matches
+    # pytest's own filterwarnings = ["error"]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", str(script)], capture_output=True, text=True, timeout=120
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

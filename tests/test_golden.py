@@ -15,8 +15,10 @@ deliberate output change, or add one, with
     PYTHONPATH=src python tests/test_golden.py NAME ARGV...    # add or replace NAME
 """
 
+import json
 import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -48,6 +50,45 @@ def test_corpus_found():
 def test_golden_case(path, monkeypatch):
     monkeypatch.chdir(ROOT)
     assert render(read_argv(path)) == path.read_bytes().decode("utf-8")
+
+
+# Runs each argv through `cli.main` with numpy unimportable and prints one
+# JSON list of [exit code, stdout] pairs.
+NUMPY_FREE_RUNNER = """\
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from cheshire.cli import main
+results = []
+for argv in json.loads(sys.stdin.read()):
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            main(argv)
+    except SystemExit as exc:
+        results.append([exc.code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def numpy_free(argv: list[str]) -> bool:
+    """Only `solve`, `pointer` and `circuit --emit counts` may load numpy."""
+    if "scenario" in argv:
+        return True
+    return "circuit" in argv and "counts" not in argv
+
+
+def test_numpy_free_cases_run_without_numpy():
+    cases = [path for path in CASES if numpy_free(read_argv(path))]
+    assert len(cases) >= 31
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_RUNNER],
+        input=json.dumps([read_argv(path) for path in cases]),
+        capture_output=True, text=True, cwd=ROOT, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for path, (code, output) in zip(cases, json.loads(proc.stdout), strict=True):
+        want = path.read_bytes().decode("utf-8")
+        assert f"$ cheshire {shlex.join(read_argv(path))}\nexit {code}\n{output}" == want, path.name
 
 
 if __name__ == "__main__":

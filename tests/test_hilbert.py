@@ -70,13 +70,36 @@ def test_label_of_index_examples():
     assert C1.label_of_index(2) == "10"
 
 
-@pytest.mark.parametrize(
-    "bad",
-    ["010", "01000", "LRH", "XRHH", "L1 R2 H1", "L1 L1 H1 H2", "L3 R2 H1 H2", "L1 R2 H1 V3"],
-)
-def test_bad_labels_rejected(bad):
-    with pytest.raises(InputError):
+BAD_LABELS = {
+    "010": "label '010' has length 3, expected 4 for n=2",
+    "01000": "label '01000' has length 5, expected 4 for n=2",
+    "LRH": "label 'LRH' has length 3, expected 4 for n=2",
+    "XRHH": "label 'XRHH': character 'X' invalid for a path factor",
+    "HRHH": "label 'HRHH': character 'H' invalid for a path factor",
+    "LRHX": "label 'LRHX': character 'X' invalid for a polarization factor",
+    "L1 R2 H1": "label 'L1 R2 H1' specifies 3 factors, expected 4",
+    " L1 R2 H1 ": "label 'L1 R2 H1' specifies 3 factors, expected 4",
+    "L1 L1 H1 H2": "token 'L1' repeats an already specified factor",
+    "L1 R2 H1 H2 V1": "token 'V1' repeats an already specified factor",
+    "L3 R2 H1 H2": "token 'L3': photon index out of range 1..2",
+    "L1 R2 H1 V3": "token 'V3': photon index out of range 1..2",
+    "L1 R2 H1 X2": "token 'X2' is not of the form L1/R2/H1/V2",
+    "L1R2 H1 H2": "token 'L1R2' is not of the form L1/R2/H1/V2",
+}
+
+
+@pytest.mark.parametrize("bad,message", BAD_LABELS.items(), ids=list(BAD_LABELS))
+def test_bad_labels_rejected(bad, message):
+    with pytest.raises(InputError) as err:
         C2.index_of_label(bad)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("index", [-1, 16])
+def test_label_of_index_out_of_range(index):
+    with pytest.raises(InputError) as err:
+        C2.label_of_index(index)
+    assert str(err.value) == f"basis index {index} out of range for dim 16"
 
 
 def test_photon_range_checked():
@@ -95,6 +118,12 @@ def test_make_ket_prunes_and_range_checks():
     assert state.support() == (0,)
     with pytest.raises(InputError):
         ch.make_ket(C1, {4: 1.0})
+
+
+def test_make_ket_refuses_an_amplitude_whose_modulus_overflows():
+    """abs() of 1.7e308 + 1.7e308j overflows a double before the norm is summed."""
+    with pytest.raises(InputError, match="amplitudes too large: the squared norm overflows"):
+        ch.make_ket(C1, {0: complex(1.7e308, 1.7e308)})
 
 
 def test_amplitude_accepts_labels_and_indices():
@@ -199,17 +228,33 @@ def test_large_n_sampled_columns(n):
     proj = ch.path_projector(conv, photon, "L")
     grin = ch.grin_observable(conv, photon, "R")
     for k in map(int, rng.integers(0, conv.dim, size=12)):
-        bit = (k >> conv.bit_position(photon - 1)) & 1
+        bit = (k >> (2 * n - photon)) & 1  # path factor photon - 1 of 2n, MSB first
         expect_proj = {k: 1.0} if bit == 0 else {}
         assert ch.apply(proj, ch.make_ket(conv, {k: 1})).amplitudes == expect_proj
         got = ch.apply(grin, ch.make_ket(conv, {k: 1})).amplitudes
         if bit == 1:
-            pol_pos = conv.bit_position(conv.n_photons + photon - 1)
+            pol_pos = n - photon  # polarization factor n + photon - 1
             flipped = k ^ (1 << pol_pos)
             sign = 1j if (k >> pol_pos) & 1 == 0 else -1j
             assert got == {flipped: sign}
         else:
             assert got == {}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 40, 512])
+def test_observable_terms_equal_raw_masks(n):
+    """Every named observable's Pauli strings, with the masks worked out by hand.
+
+    Photon i's path factor is label position i - 1 of 2n and its polarization
+    factor position n + i - 1, most significant bit first.
+    """
+    conv = ch.BasisConvention(n)
+    for photon in range(1, n + 1):
+        p, m = 1 << (2 * n - photon), 1 << (n - photon)
+        assert ch.circular_sigma_z(conv, photon).terms == ((m, m, 1j),)
+        for arm, sign in (("L", 1), ("R", -1)):
+            assert ch.path_projector(conv, photon, arm).terms == ((0, 0, 0.5), (0, p, sign * 0.5))
+            assert ch.grin_observable(conv, photon, arm).terms == ((m, m, 0.5j), (m, m | p, sign * 0.5j))
 
 
 def test_sigma_frozen_action():
@@ -316,12 +361,12 @@ def test_operator_from_dense_matches():
 
 def _ref_path(conv, photon, arm):
     want = "LR".index(arm)
-    shift = conv.bit_position(photon - 1)
+    shift = 2 * conv.n_photons - photon
     return lambda k: {k: 1.0 + 0j} if (k >> shift) & 1 == want else {}
 
 
 def _ref_sigma(conv, photon):
-    mask = 1 << conv.bit_position(conv.n_photons + photon - 1)
+    mask = 1 << (conv.n_photons - photon)
     return lambda k: {k ^ mask: -1j if k & mask else 1j}
 
 

@@ -273,6 +273,16 @@ def test_pre_block_emits_path_entangled_pair():
     assert ch.fidelity_up_to_phase(pre, ch.two_cat().pre) >= 1 - 1e-12
 
 
+def test_pre_block_off_the_labeled_modes_is_refused():
+    """Only modes L and R have a path bit; a photon left on w1 has no basis state."""
+    circ = toy_circuit(
+        "photons 1\nsource ket path=L pol=V\nelement pbs photon=1 ports=L,w1\n"
+        "postselection\ndetector D1 photon=1 mode=w1 pol=V\npostselect-on D1\n"
+    )
+    with pytest.raises(InputError, match="mode 'w1' has no labeled-basis equivalent"):
+        ch.run_pre_block(circ)
+
+
 def test_exact_distribution_frozen():
     result = ch.run_exact(ch.two_cat_device())
     probs = result.probabilities()

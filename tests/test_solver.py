@@ -309,6 +309,7 @@ def test_parse_problem_letter_labels_and_expressions():
         ("target path:1:L 1 0\ntarget bogus 1 0\nphotons 1\nwhatever\n", 2),
         # rows that parse but sum to no usable pre-state: the last pre row
         ("photons 1\npre 00 1e200 0\ntarget path:1:L 1 0\n", 2),
+        ("photons 1\npre 00 1.7e308 1.7e308\ntarget path:1:L 1 0\n", 2),
         ("photons 1\npre 00 0 0\ntarget path:1:L 1 0\n", 2),
         ("photons 1\npre 00 1e154 0\ntarget path:1:L 1 0\npre 01 1e154 0\n", 4),
         ("photons 1\npre 00 1 0\npre 00 -1 0\ntarget path:1:L 1 0\n", 3),
@@ -740,3 +741,19 @@ def test_target_whose_row_overflows_is_refused():
     pre = ch.make_ket(C1, {0: 1.0})
     with pytest.raises(InputError, match="squared norm overflows"):
         ch.assemble(pre, [ch.WeakValueTarget(ch.path_projector(C1, 1, "L"), 1e200)])
+
+
+@pytest.mark.parametrize(
+    "amplitude,observable,target",
+    [
+        # the applied amplitude 1.7e308 (1 + 1j): its modulus overflows in the first prune
+        (1 + 1j, ch.op_scale(1.7e308, ch.identity_op(C1)), 0j),
+        # 1 - (1.7e308 + 1.7e308j): its modulus overflows in the row's prune
+        (1 + 0j, ch.path_projector(C1, 1, "L"), complex(1.7e308, 1.7e308)),
+    ],
+    ids=["applied", "row"],
+)
+def test_row_entry_whose_modulus_overflows_is_refused(amplitude, observable, target):
+    pre = ch.make_ket(C1, {0: amplitude})
+    with pytest.raises(InputError, match="amplitudes too large: the squared norm overflows"):
+        ch.assemble(pre, [ch.WeakValueTarget(observable, target)])
