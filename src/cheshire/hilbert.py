@@ -10,7 +10,9 @@ with encoding L -> 0, R -> 1 for path factors and H -> 0, V -> 1 for
 polarization factors. A basis index k in [0, 4**n) is the 2n-bit binary
 string read in factor order, most significant bit first, so for n = 2 the
 label "0100" (photon 1 on the left arm, photon 2 on the right, both
-horizontal) is index 4.
+horizontal) is index 4. Photon i's path bit is therefore 1 << (2n - i) and
+its polarization bit 1 << (n - i). `BasisConvention` is the one place where
+a photon number or a label becomes index bits; everything else asks it.
 
 Labels are accepted in two forms: a compact 2n-character string over
 {0, 1, L, R, H, V} ("0100", "LRHH", and mixtures), or whitespace-separated
@@ -61,6 +63,8 @@ HERMITIAN_TOL = 1e-12
 _PATH_CHARS = {"0": 0, "1": 1, "L": 0, "R": 1}
 _POL_CHARS = {"0": 0, "1": 1, "H": 0, "V": 1}
 _TOKEN_FORM = re.compile(r"^([LRHV])_?([0-9]+)$")
+_PATH_LETTERS = str.maketrans("01", "LR")
+_POL_LETTERS = str.maketrans("01", "HV")
 
 # to_dense guard: keeps accidental materialization of huge spaces out
 _DENSE_DIM_LIMIT = 1024
@@ -77,45 +81,41 @@ class BasisConvention:
             raise InputError(f"n_photons must be a positive integer, got {self.n_photons!r}")
 
     @property
-    def n_factors(self) -> int:
-        return 2 * self.n_photons
-
-    @property
     def dim(self) -> int:
         return 4**self.n_photons
 
-    def check_photon(self, i: int) -> None:
-        if not 1 <= i <= self.n_photons:
-            raise InputError(f"photon index {i} out of range 1..{self.n_photons}")
+    def photon_bits(self, photon: int) -> tuple[int, int]:
+        """The path and polarization bit of one photon, as index masks."""
+        n = self.n_photons
+        if not 1 <= photon <= n:
+            raise InputError(f"photon index {photon} out of range 1..{n}")
+        return 1 << (2 * n - photon), 1 << (n - photon)
 
-    def bit_position(self, factor: int) -> int:
-        # factor counted 0-based from the left of the label; MSB-first encoding
-        return self.n_factors - 1 - factor
+    def all_photon_bits(self) -> list[tuple[int, int]]:
+        """`photon_bits` of photons 1..n in order, in one call."""
+        n = self.n_photons
+        return [(1 << (2 * n - i), 1 << (n - i)) for i in range(1, n + 1)]
 
     def index_of_label(self, label: str) -> int:
         n = self.n_photons
         text = label.strip()
-        if any(ch.isspace() for ch in text):
-            return self._index_of_tokens(text)
-        if len(text) != self.n_factors:
-            raise InputError(
-                f"label {label!r} has length {len(text)}, expected {self.n_factors} for n={n}"
-            )
-        bits = []
+        if len(text.split()) > 1:
+            text = self._letters_of_tokens(text)
+        elif len(text) != 2 * n:
+            raise InputError(f"label {label!r} has length {len(text)}, expected {2 * n} for n={n}")
+        index = 0
         for pos, ch in enumerate(text.upper()):
             table = _PATH_CHARS if pos < n else _POL_CHARS
             if ch not in table:
                 kind = "path" if pos < n else "polarization"
                 raise InputError(f"label {label!r}: character {ch!r} invalid for a {kind} factor")
-            bits.append(table[ch])
-        index = 0
-        for b in bits:
-            index = (index << 1) | b
+            index = (index << 1) | table[ch]
         return index
 
-    def _index_of_tokens(self, text: str) -> int:
+    def _letters_of_tokens(self, text: str) -> str:
+        """The compact 2n-letter form of a token label such as "L1 R2 H1 H2"."""
         n = self.n_photons
-        values: dict[int, int] = {}
+        letters: dict[int, str] = {}
         for token in text.split():
             m = _TOKEN_FORM.match(token.upper())
             if m is None:
@@ -123,32 +123,20 @@ class BasisConvention:
             letter, num = m.group(1), int(m.group(2))
             if not 1 <= num <= n:
                 raise InputError(f"token {token!r}: photon index out of range 1..{n}")
-            if letter in ("L", "R"):
-                factor, bit = num - 1, _PATH_CHARS[letter]
-            else:
-                factor, bit = n + num - 1, _POL_CHARS[letter]
-            if factor in values:
+            factor = num - 1 if letter in "LR" else n + num - 1
+            if factor in letters:
                 raise InputError(f"token {token!r} repeats an already specified factor")
-            values[factor] = bit
-        if len(values) != self.n_factors:
-            raise InputError(
-                f"label {text!r} specifies {len(values)} factors, expected {self.n_factors}"
-            )
-        index = 0
-        for factor in range(self.n_factors):
-            index = (index << 1) | values[factor]
-        return index
+            letters[factor] = letter
+        if len(letters) != 2 * n:
+            raise InputError(f"label {text!r} specifies {len(letters)} factors, expected {2 * n}")
+        return "".join(letters[factor] for factor in range(2 * n))
 
     def label_of_index(self, index: int, letters: bool = False) -> str:
         if not 0 <= index < self.dim:
             raise InputError(f"basis index {index} out of range for dim {self.dim}")
-        bits = format(index, f"0{self.n_factors}b")
-        if not letters:
-            return bits
         n = self.n_photons
-        path = "".join("LR"[int(b)] for b in bits[:n])
-        pol = "".join("HV"[int(b)] for b in bits[n:])
-        return path + pol
+        bits = format(index, f"0{2 * n}b")
+        return bits[:n].translate(_PATH_LETTERS) + bits[n:].translate(_POL_LETTERS) if letters else bits
 
 
 _TOO_LARGE = "amplitudes too large: the squared norm overflows"
@@ -366,16 +354,16 @@ def identity_op(convention: BasisConvention) -> Operator:
 _ARM_HALVES = {"L": (0.5 + 0j, 0.5j), "R": (-0.5 + 0j, complex(0.0, -0.5))}
 
 
-def _path_mask(convention: BasisConvention, photon: int, arm: str) -> int:
-    convention.check_photon(photon)
+def _arm_bits(convention: BasisConvention, photon: int, arm: str) -> tuple[int, int]:
+    bits = convention.photon_bits(photon)
     if arm not in _ARM_HALVES:
         raise InputError(f"arm must be 'L' or 'R', got {arm!r}")
-    return 1 << convention.bit_position(photon - 1)
+    return bits
 
 
 def path_projector(convention: BasisConvention, photon: int, arm: str) -> Operator:
     """|arm><arm| on the path factor of one photon, identity elsewhere: (I +- Z_path)/2."""
-    p = _path_mask(convention, photon, arm)
+    p, _ = _arm_bits(convention, photon, arm)
     return Operator(convention, ((0, 0, 0.5 + 0j), (0, p, _ARM_HALVES[arm][0])))
 
 
@@ -385,8 +373,7 @@ def circular_sigma_z(convention: BasisConvention, photon: int) -> Operator:
     In the H/V basis this is [[0, -i], [i, 0]]: H maps to i V and V to -i H.
     Eigenvalues are exactly +1 and -1 on the circular basis states.
     """
-    convention.check_photon(photon)
-    m = 1 << convention.bit_position(convention.n_photons + photon - 1)
+    _, m = convention.photon_bits(photon)
     return Operator(convention, ((m, m, 1j),))
 
 
@@ -396,8 +383,7 @@ def grin_observable(convention: BasisConvention, photon: int, arm: str) -> Opera
     The two act on disjoint factors of the same photon, so they commute and
     the product is Hermitian.
     """
-    p = _path_mask(convention, photon, arm)
-    m = p >> convention.n_photons  # a photon's polarization bit sits n places below its path bit
+    p, m = _arm_bits(convention, photon, arm)
     return Operator(convention, ((m, m, 0.5j), (m, m | p, _ARM_HALVES[arm][1])))
 
 

@@ -306,26 +306,22 @@ def state_to_ket(state: OpticsState, n_photons: int) -> Ket:
     conv = BasisConvention(n_photons)
     amps: dict[int, complex] = {}
     for config, amp in state.items():
-        index = 0
-        for mode, _ in config:
+        modes, pols = zip(*config)
+        for mode in modes:
             if mode not in ("L", "R"):
                 raise InputError(f"mode {mode!r} has no labeled-basis equivalent")
-            index = (index << 1) | (0 if mode == "L" else 1)
-        for _, pol in config:
-            index = (index << 1) | (0 if pol == "H" else 1)
+        index = conv.index_of_label("".join(modes + pols))
         amps[index] = amps.get(index, 0j) + amp
     return hilbert.make_ket(conv, amps)
 
 
 def ket_to_state(ket: Ket) -> OpticsState:
-    n = ket.convention.n_photons
+    conv = ket.convention
+    n = conv.n_photons
     state: OpticsState = {}
     for k, amp in ket.amplitudes.items():
-        bits = format(k, f"0{2 * n}b")
-        config = tuple(
-            ("LR"[int(bits[i])], "HV"[int(bits[n + i])]) for i in range(n)
-        )
-        state[config] = amp
+        label = conv.label_of_index(k, letters=True)
+        state[tuple(zip(label[:n], label[n:]))] = amp
     return state
 
 

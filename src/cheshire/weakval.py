@@ -181,15 +181,12 @@ def weak_value_report(pair: PrePostPair) -> WeakValueReport:
     with every other report and pattern (`report_keys`).
     """
     ovl = _checked_overlap(pair)
-    n = pair.n_photons
     pre, post = pair.pre.amplitudes, pair.post.amplitudes
     up, down = 1j, complex(0.0, -1.0)
     # a path term reads post[k] whatever the photon, so it is computed once
     path_terms = [(k, post[k].conjugate() * ((1 + 0j) * a)) for k, a in pre.items() if k in post]
     values: list[complex] = []
-    for photon in range(1, n + 1):
-        p = 1 << (2 * n - photon)
-        m = p >> n  # a photon's polarization bit sits n places below its path bit
+    for p, m in pair.pre.convention.all_photon_bits():
         path_l = path_r = grin_l = grin_r = 0j
         for k, t in path_terms:
             if k & p:
@@ -205,7 +202,7 @@ def weak_value_report(pair: PrePostPair) -> WeakValueReport:
                 else:
                     grin_l += t
         values += (path_l / ovl, path_r / ovl, grin_l / ovl, grin_r / ovl)
-    return WeakValueReport(dict(zip(report_keys(n), values)), ovl)
+    return WeakValueReport(dict(zip(report_keys(pair.n_photons), values)), ovl)
 
 
 @dataclass(frozen=True)

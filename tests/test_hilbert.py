@@ -105,8 +105,8 @@ def test_label_of_index_out_of_range(index):
 def test_photon_range_checked():
     with pytest.raises(InputError):
         ch.BasisConvention(0)
-    with pytest.raises(InputError):
-        C2.check_photon(3)
+    with pytest.raises(InputError, match=r"photon index 3 out of range 1\.\.2"):
+        C2.photon_bits(3)
 
 
 # ---------------------------------------------------------------------------
