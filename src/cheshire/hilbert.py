@@ -136,7 +136,9 @@ class BasisConvention:
             raise InputError(f"basis index {index} out of range for dim {self.dim}")
         n = self.n_photons
         bits = format(index, f"0{2 * n}b")
-        return bits[:n].translate(_PATH_LETTERS) + bits[n:].translate(_POL_LETTERS) if letters else bits
+        if not letters:
+            return bits
+        return bits[:n].translate(_PATH_LETTERS) + bits[n:].translate(_POL_LETTERS)
 
 
 _TOO_LARGE = "amplitudes too large: the squared norm overflows"

@@ -384,8 +384,9 @@ def test_circuit_unknown_pattern_exits_two():
         ("photons 2\nsource laser\n", 2, "source kind must be spdc or ket, got 'laser'"),
         ("photons ²\n", 1, "photons must be a whole number in ASCII digits, got '²'"),
         ("# a comment and nothing else\n", 1, "missing photons line"),
+        ("photons 2 3\n", 1, "photons needs one positive integer"),
     ],
-    ids=["bad-source", "superscript-photons", "no-directive"],
+    ids=["bad-source", "superscript-photons", "no-directive", "photons-two-words"],
 )
 def test_circuit_malformed_file_exits_two(tmp_path, text, line, message):
     path = tmp_path / "bad.circuit"
